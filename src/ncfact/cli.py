@@ -41,21 +41,11 @@ from .facto import (count_fact_by_composition, count_fact_k, count_reduced,
 from .families import GroupSpec, parse_group
 from .groups import build_group
 from .ncp import build_nc, fuss_catalan
-from .verify import Check, make_meta, row_records, run_verify
+from .verify import (Check, Report, make_meta, row_records, run_verify,
+                     table_rows_check)
 
 _USAGE_ERRORS = (ParseError, UnsupportedGroup, RankTooSmall, NotLengthTwo,
                  NotInNC, IndexOutOfRange)
-
-
-def _payload(group: str, checks: List[Check], rows: List[dict],
-             budget: Optional[int]) -> dict:
-    return {
-        "group": group,
-        "checks": [{"name": c.name, "expected": c.expected,
-                    "actual": c.actual, "pass": c.passed} for c in checks],
-        "rows": rows,
-        "meta": make_meta(budget),
-    }
 
 
 def cmd_info(spec: GroupSpec) -> dict:
@@ -73,7 +63,7 @@ def cmd_info(spec: GroupSpec) -> dict:
         ("two-reflection", "yes" if spec.is_two_reflection else "no"),
     ]
     checks = [Check(name, str(v), str(v)) for name, v in facts]
-    return _payload(spec.name, checks, [], None)
+    return Report(spec.name, checks, [], make_meta(None)).payload()
 
 
 def _parse_composition(text: str) -> Tuple[int, ...]:
@@ -118,7 +108,7 @@ def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str],
     else:  # by-class
         nc = build_nc(g)
         rows = row_records(g, submaximal_by_class(nc))
-    return _payload(spec.name, checks, rows, budget)
+    return Report(spec.name, checks, rows, make_meta(budget)).payload()
 
 
 def cmd_verify(spec: GroupSpec, p_max: int, budget: Optional[int]) -> dict:
@@ -148,11 +138,16 @@ def cmd_table(group_or_family: str, budget: Optional[int]) -> dict:
             desc = (f"applies {rec['applies']}; prefactor {rec['prefactor']};"
                     f" entries {entries}")
             checks.append(Check(f"row-{rec['row']}", desc, desc))
-        return _payload(group_or_family.strip().upper(), checks, [], None)
+        return Report(group_or_family.strip().upper(), checks, [],
+                      make_meta(None)).payload()
 
-    rep = run_verify(spec, p_max=1, budget=budget)
-    keep = [c for c in rep.checks if c.name == "table-rows"]
-    return _payload(spec.name, keep, rep.rows, budget)
+    g = build_group(spec, budget=budget)
+    checks, rows = [], []
+    if g.rank >= 2:
+        rows = submaximal_by_class(build_nc(g))
+        checks = [table_rows_check(spec, rows)]
+    return Report(spec.name, checks, row_records(g, rows),
+                  make_meta(budget)).payload()
 
 
 # ---------------------------------------------------------------- rendering
@@ -275,6 +270,13 @@ def _with_cache(key: str, path: Optional[str], compute) -> dict:
 
 # --------------------------------------------------------------- arg plumbing
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncfact",
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, cache: bool = True) -> None:
         p.add_argument("--format", choices=("md", "json", "csv"),
                        default="md", help="output format (default md)")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=positive_int, default=None,
                        help="explicit enumeration budget (element count)")
         if cache:
             p.add_argument("--cache", metavar="PATH", default=None,

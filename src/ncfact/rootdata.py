@@ -1,31 +1,31 @@
 """Root systems for the exceptional types, built exactly from shipped Gram data.
 
-Roots are coordinate vectors in the simple-root basis.  The reflection in a
-root beta acts by s_beta(x) = x - (2(beta, x)/(beta, beta)) beta; closing the
-simple roots under the simple reflections yields the full root system, and
-every group element is carried as a permutation of the sorted root list.
+Roots are coordinate vectors in the simple-root basis, over Z[phi].  The
+reflection in a root beta acts by s_beta(x) = x - w(x) beta, where the linear
+form w(x) = 2(beta, x)/(beta, beta) has Z[phi] coefficients because every
+root norm is a rational integer.  Closing the simple roots under the simple
+reflections yields the full root system, and every group element is carried
+as a permutation of the sorted root list.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from ncfact.exact import GOLDEN_ONE, GOLDEN_ZERO, Golden, Scalar, matrix_rank
+from ncfact.exact import GOLDEN_ONE, GOLDEN_ZERO, Golden, matrix_rank
 from ncfact.kernels import pure as _pure
 
-Vector = Tuple[Scalar, ...]
+Vector = Tuple[Golden, ...]
 
 
 @dataclass(frozen=True)
 class RootSystem:
     name: str
     rank: int
-    field: str                              # "Q" or "Q(phi)"
     gram: Tuple[Vector, ...]
     roots: Tuple[Vector, ...]               # sorted, deterministic indexing
     index: Dict[Vector, int]
@@ -36,50 +36,42 @@ class RootSystem:
     def npoints(self) -> int:
         return len(self.roots)
 
-    def matrix(self, perm: bytes) -> List[List[Scalar]]:
-        """Matrix of the element in the simple-root basis (columns = images)."""
-        n = self.rank
-        cols = [self.roots[perm[self.index[_unit(self, j)]]] for j in range(n)]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
     def codim(self, perm: bytes) -> int:
-        """Codimension of the fixed space, i.e. rank(M - I), exactly."""
-        one = GOLDEN_ONE if self.field == "Q(phi)" else Fraction(1)
-        m = self.matrix(perm)
-        for i in range(self.rank):
-            m[i][i] = m[i][i] - one
-        return matrix_rank(m)
+        """Codimension of the fixed space, i.e. rank(M - I), exactly.
+
+        Row j is (M - I) applied to the j-th simple root; the rank of the
+        transpose is the same.
+        """
+        return matrix_rank([
+            [y - x for x, y in zip(e, self.roots[perm[self.index[e]]])]
+            for e in _units(self.rank)])
 
 
-def _unit(rs: RootSystem, j: int) -> Vector:
-    zero = GOLDEN_ZERO if rs.field == "Q(phi)" else Fraction(0)
-    one = GOLDEN_ONE if rs.field == "Q(phi)" else Fraction(1)
-    return tuple(one if i == j else zero for i in range(rs.rank))
+def _units(rank: int) -> Tuple[Vector, ...]:
+    return tuple(tuple(GOLDEN_ONE if i == j else GOLDEN_ZERO
+                       for i in range(rank)) for j in range(rank))
 
 
-def _sort_key(v: Vector):
-    return tuple(x.sort_key() if isinstance(x, Golden) else x for x in v)
-
-
-def _dot(gram: Sequence[Vector], x: Vector, y: Vector) -> Scalar:
-    acc = None
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = gram[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            term = xi * row[j] * yj
-            acc = term if acc is None else acc + term
-    if acc is None:
-        acc = x[0] - x[0]  # typed zero
+def _pair(u: Sequence[Golden], x: Vector) -> Golden:
+    """sum_k u_k x_k."""
+    acc = GOLDEN_ZERO
+    for uk, xk in zip(u, x):
+        if uk and xk:
+            acc = acc + uk * xk
     return acc
 
 
-def _reflect(gram: Sequence[Vector], beta: Vector, beta_norm: Scalar,
-             x: Vector) -> Vector:
-    coef = (_dot(gram, beta, x) + _dot(gram, beta, x)) / beta_norm
+def _form(gram: Sequence[Vector], beta: Vector) -> Vector:
+    """Coefficients of w(x) = 2(beta, x)/(beta, beta) in the simple-root basis."""
+    g = [_pair(row, beta) for row in gram]   # (beta, alpha_i); gram symmetric
+    norm = _pair(g, beta)
+    return tuple((gi + gi).div_exact(norm) for gi in g)
+
+
+def _reflect(form: Vector, beta: Vector, x: Vector) -> Vector:
+    coef = _pair(form, x)
+    if not coef:
+        return x
     return tuple(xi - coef * bi for xi, bi in zip(x, beta))
 
 
@@ -96,71 +88,47 @@ def exceptional_degrees(name: str) -> Tuple[int, ...]:
 @lru_cache(maxsize=None)
 def build_root_system(name: str) -> RootSystem:
     data = _raw_data()[name]
-    field = data["field"]
-    rank = len(data["gram"])
-    if field == "Q(phi)":
-        gram = tuple(tuple(Golden.of(a, b) for a, b in row)
-                     for row in data["gram"])
-        zero, one = GOLDEN_ZERO, GOLDEN_ONE
-    else:
-        gram = tuple(tuple(Fraction(x) for x in row) for row in data["gram"])
-        zero, one = Fraction(0), Fraction(1)
-
-    simples = [tuple(one if i == j else zero for i in range(rank))
-               for j in range(rank)]
-    norms = [gram[j][j] for j in range(rank)]
+    # Q(phi) entries are [a, b] pairs for a + b*phi; Q entries are integers
+    entry = (lambda ab: Golden(*ab)) if data["field"] == "Q(phi)" else Golden
+    gram = tuple(tuple(entry(x) for x in row) for row in data["gram"])
+    rank = len(gram)
+    simples = _units(rank)
+    simple_forms = [_form(gram, s) for s in simples]
 
     roots = set(simples) | {tuple(-x for x in v) for v in simples}
     frontier = list(roots)
     while frontier:
         nxt = []
         for x in frontier:
-            for j in range(rank):
-                y = _reflect(gram, simples[j], norms[j], x)
+            for form, s in zip(simple_forms, simples):
+                y = _reflect(form, s, x)
                 if y not in roots:
                     roots.add(y)
                     nxt.append(y)
         frontier = nxt
-    root_list = tuple(sorted(roots, key=_sort_key))
+    root_list = tuple(sorted(roots))
     if len(root_list) != data["num_roots"]:
         raise AssertionError(
             f"{name}: root closure gave {len(root_list)} roots, "
             f"expected {data['num_roots']}")
     index = {r: i for i, r in enumerate(root_list)}
-
     npoints = len(root_list)
 
     def refl_perm(beta: Vector) -> bytes:
-        # coefficient of beta in s_beta(x) is the linear form
-        # w(x) = 2 (beta, x) / (beta, beta); precompute w per basis vector
-        bnorm = _dot(gram, beta, beta)
-        form = []
-        for i in range(rank):
-            gi = _dot(gram, beta, simples[i])
-            form.append((gi + gi) / bnorm)
-        images = bytearray(npoints)
-        for i, r in enumerate(root_list):
-            coef = None
-            for k, rk in enumerate(r):
-                if rk:
-                    term = form[k] * rk
-                    coef = term if coef is None else coef + term
-            if coef is None or not coef:
-                images[i] = i
-            else:
-                img = tuple(xi - coef * bi for xi, bi in zip(r, beta))
-                images[i] = index[img]
-        return bytes(images)
+        form = _form(gram, beta)
+        return bytes(index[_reflect(form, beta, r)] for r in root_list)
 
-    perms = sorted({refl_perm(beta) for beta in root_list})
+    # negation reverses the (a, b)-lexicographic order, so root i and root
+    # npoints-1-i are a +/- pair with one reflection: the first half suffices
+    perms = sorted({refl_perm(beta) for beta in root_list[:npoints // 2]})
     if len(perms) != npoints // 2:
         raise AssertionError(f"{name}: expected {npoints // 2} reflections, "
                              f"got {len(perms)}")
     simple_perms = tuple(refl_perm(s) for s in simples)
 
-    rs = RootSystem(name=name, rank=rank, field=field, gram=gram,
-                    roots=root_list, index=index,
-                    reflection_perms=tuple(perms), simple_perms=simple_perms)
+    rs = RootSystem(name=name, rank=rank, gram=gram, roots=root_list,
+                    index=index, reflection_perms=tuple(perms),
+                    simple_perms=simple_perms)
     for p in simple_perms:
         if _pure.compose(p, p, npoints) != _pure.identity(npoints):
             raise AssertionError(f"{name}: simple reflection not an involution")

@@ -146,6 +146,18 @@ def expected_r(g: Group, row: LLRow) -> object:
     return Fraction(2 * hp, d1)
 
 
+def table_rows_check(spec: GroupSpec, rows: Sequence[LLRow]) -> Check:
+    """Enumerated (r, u, count) triples vs. the expected table row."""
+    try:
+        exp = expected_ll_data(spec)
+    except NoTableRow:
+        note = "no table row for this family (internal identities only)"
+        return Check("table-rows", note, note)
+    want = sorted((r, u, c) for (r, u), c in zip(exp.entries, exp.counts))
+    got = sorted((row.r, row.u, row.count) for row in rows)
+    return Check("table-rows", str(want), str(got))
+
+
 def run_verify(spec: GroupSpec, p_max: int = 4,
                budget: Optional[int] = None) -> Report:
     """Run the whole identity suite on one group."""
@@ -190,15 +202,7 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
             if spec.is_two_reflection:
                 add(f"r-order-class{i}",
                     g.element_order(row.representative), row.r)
-        try:
-            exp = expected_ll_data(spec)
-            want = sorted((r, u, c) for (r, u), c
-                          in zip(exp.entries, exp.counts))
-            got = sorted((row.r, row.u, row.count) for row in rows)
-            add("table-rows", want, got)
-        except NoTableRow:
-            note = "no table row for this family (internal identities only)"
-            add("table-rows", note, note)
+        checks.append(table_rows_check(spec, rows))
 
     if red <= ORBIT_GATE:
         reduced = enumerate_reduced(nc, cap=ORBIT_GATE)

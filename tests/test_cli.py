@@ -106,6 +106,12 @@ def test_table_group_and_families(capsys):
     names = [c["name"] for c in json.loads(out)["checks"]]
     assert len(names) == 5 and all(n.startswith("row-GEEN") for n in names)
 
+    # rank 1 has no codimension-2 classes: no checks and no rows
+    code, out, _ = run_cli(capsys, "table", "A1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["checks"] == [] and payload["rows"] == []
+
 
 def test_table_gd1n_internal_identities(capsys):
     code, out, _ = run_cli(capsys, "table", "G(3,1,3)")
@@ -127,6 +133,16 @@ def test_exit_code_usage_errors(capsys):
 def test_exit_code_budget(capsys):
     assert run_cli(capsys, "count", "E8", "red")[0] == 3
     assert run_cli(capsys, "verify", "E7", "--budget", "10")[0] == 3
+
+
+@pytest.mark.parametrize("argv", [("verify", "A3"), ("count", "A3", "red"),
+                                  ("table", "A3")])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_non_positive_budget_is_a_usage_error(capsys, argv, budget):
+    code, out, err = run_cli(capsys, *argv, "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
 
 
 def test_exit_code_failed_check(capsys, monkeypatch):

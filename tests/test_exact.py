@@ -1,12 +1,12 @@
-"""Exact scalar domain: golden-ratio arithmetic, generic rank computation."""
-
-from fractions import Fraction
+"""Exact scalar domain: Z[phi] arithmetic, fraction-free rank computation."""
 
 import pytest
 
 from ncfact.exact import GOLDEN_ONE, GOLDEN_ZERO, Golden, matrix_rank
 
-PHI = Golden.of(0, 1)
+PHI = Golden(0, 1)
+
+SAMPLE = [Golden(a, b) for a in (-2, 0, 1, 3) for b in (-1, 0, 2)]
 
 
 def test_phi_satisfies_quadratic():
@@ -14,48 +14,60 @@ def test_phi_satisfies_quadratic():
     assert PHI * PHI == PHI + GOLDEN_ONE
 
 
-def test_field_axioms_sampled():
-    xs = [Golden.of(Fraction(a, 2), Fraction(b, 3))
-          for a in (-2, 0, 1, 3) for b in (-1, 0, 2)]
-    for x in xs:
-        for y in xs:
+def test_ring_axioms_sampled():
+    for x in SAMPLE:
+        assert x + GOLDEN_ZERO == x
+        assert x * GOLDEN_ONE == x
+        assert x - x == GOLDEN_ZERO
+        assert x + (-x) == GOLDEN_ZERO
+        for y in SAMPLE:
             assert x + y == y + x
             assert x * y == y * x
-            if y != GOLDEN_ZERO:
-                assert (x / y) * y == x
-        if x != GOLDEN_ZERO:
-            assert x * x.inverse() == GOLDEN_ONE
+            for z in SAMPLE:
+                assert (x + y) + z == x + (y + z)
+                assert (x * y) * z == x * (y * z)
+                assert x * (y + z) == x * y + x * z
 
 
-def test_inverse_of_phi():
-    # 1/phi = phi - 1
-    assert PHI.inverse() == PHI - GOLDEN_ONE
-
-
-def test_sort_key_is_total_and_matches_equality():
-    # the key only promises a deterministic total order for canonical
+def test_order_is_total_and_matches_equality():
+    # the order only promises a deterministic total order for canonical
     # root ordering, not the real-number order
-    vals = [Golden.of(Fraction(a, 2), Fraction(b, 3))
-            for a in (-2, 0, 1, 3) for b in (-1, 0, 2)]
-    keys = [g.sort_key() for g in vals]
-    assert len(set(keys)) == len(set(vals))
-    for g, k in zip(vals, keys):
-        for g2, k2 in zip(vals, keys):
-            assert (g == g2) == (k == k2)
-    assert sorted(keys) == sorted(keys, reverse=True)[::-1]
+    assert len(set(SAMPLE)) == len(SAMPLE)
+    for g in SAMPLE:
+        for g2 in SAMPLE:
+            assert (g == g2) == ((g.a, g.b) == (g2.a, g2.b))
+            assert (g < g2) == ((g.a, g.b) < (g2.a, g2.b))
+            assert sum((g < g2, g == g2, g > g2)) == 1
+    assert sorted(SAMPLE) == sorted(SAMPLE, reverse=True)[::-1]
 
 
 def test_bool_is_nonzero():
     assert not GOLDEN_ZERO
     assert PHI
-    assert Golden.of(0, Fraction(1, 7))
+    assert Golden(0, -7)
+    assert Golden(2)
+
+
+def test_div_exact():
+    assert Golden(4, -6).div_exact(Golden(2)) == Golden(2, -3)
+    assert Golden(-4).div_exact(Golden(4)) == Golden(-1)
+
+
+@pytest.mark.parametrize("x,d", [(Golden(3), Golden(2)),
+                                 (Golden(2, 1), Golden(2)),
+                                 (Golden(2), PHI)])
+def test_div_exact_rejects_non_exact_division(x, d):
+    with pytest.raises(ArithmeticError):
+        x.div_exact(d)
 
 
 def test_matrix_rank_rational():
-    f = Fraction
+    f = Golden
     assert matrix_rank([[f(1), f(2)], [f(2), f(4)]]) == 1
     assert matrix_rank([[f(1), f(2)], [f(0), f(1)]]) == 2
     assert matrix_rank([[f(0)] * 3] * 3) == 0
+    # a pivot that is not a unit: elimination must scale the lower row
+    assert matrix_rank([[f(2), f(4)], [f(1), f(2)]]) == 1
     # 4x4 with a dependent row
     rows = [[f(1), f(0), f(2), f(1)],
             [f(0), f(1), f(1), f(0)],
@@ -70,10 +82,13 @@ def test_matrix_rank_golden():
     # rows proportional by phi have rank 1
     assert matrix_rank([[one, phi], [phi, phi * phi]]) == 1
     assert matrix_rank([[one, zero], [phi, one]]) == 2
+    # the pivot 2*phi is not a unit in Z[phi]
+    two_phi = Golden(0, 2)
+    assert matrix_rank([[two_phi, two_phi * phi], [phi, phi * phi]]) == 1
 
 
 def test_matrix_rank_does_not_mutate_input():
-    f = Fraction
+    f = Golden
     rows = [[f(1), f(2)], [f(3), f(4)]]
     snapshot = [row[:] for row in rows]
     matrix_rank(rows)

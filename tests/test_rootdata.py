@@ -1,5 +1,7 @@
 """Root systems for the exceptional types: closure, counts, exact codim."""
 
+import hashlib
+
 import pytest
 
 from ncfact.exact import Golden
@@ -19,6 +21,27 @@ def test_roots_closed_under_negation():
     rs = build_root_system("F4")
     for root in rs.roots:
         assert tuple(-x for x in root) in rs.index
+
+
+# sha256 of the reflection permutations followed by the simple ones.  Every
+# group element is a permutation of the sorted root list, so the root order
+# and each reflection are fixed data that must not depend on how the scalars
+# are represented.
+PERM_DIGESTS = [
+    ("H3", "871f83d28a0335a0f8ca6c4d15dc1aad3906bc7d343ec33125d61ff9947c3c2e"),
+    ("F4", "0cc8c4f3f5e375705b931e0e95ef5580d49b6d7e11d817ed1e34aa9c69ad3806"),
+    ("E6", "9e50397367aa48e3cfc4e88225827c9826ff22d14e3c6fb65e1fa7664670a96a"),
+    ("H4", "cb0f2207ee08595c35af6ac244d5721c35f431f98c851bbaf3c784b988e0c5b1"),
+    ("E7", "5db9aeb3ada622c08876ee05116682ff9db30b44f6e07df50387405552dc8b14"),
+    ("E8", "bb17081147bdad7831a111d9f163172d8be12a8c9ea25ba24499aa59e2fca508"),
+]
+
+
+@pytest.mark.parametrize("name,digest", PERM_DIGESTS)
+def test_permutation_digests_frozen(name, digest):
+    rs = build_root_system(name)
+    blob = b"".join(rs.reflection_perms + rs.simple_perms)
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_reflection_perms_are_involutions_and_halved():
@@ -61,7 +84,7 @@ def test_gram_is_symmetric_with_norm_two_diagonal():
             for j in range(n):
                 assert rs.gram[i][j] == rs.gram[j][i]
     h3 = build_root_system("H3")
-    assert all(h3.gram[i][i] == Golden.of(2) for i in range(3))
+    assert all(h3.gram[i][i] == Golden(2) for i in range(3))
 
 
 def test_root_systems_are_cached():

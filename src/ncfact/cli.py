@@ -14,20 +14,25 @@ and --p-max for verify.  Exit codes: 0 all checks pass, 1 a check failed,
 Output on stdout is byte-identical across runs for the same inputs and
 version: report payloads carry numbers as decimal strings, key order is
 sorted, and timing goes to stderr only.  The optional cache file stores
-finished payloads keyed by (version, command, group, parameters); a cache
-hit replays exactly the bytes a fresh run would print.
+finished payloads keyed by (source digest, version, command, group,
+parameters), where the source digest covers the package's code and data
+files, so an entry written by other code is recomputed, never replayed; a
+cache hit replays exactly the bytes a fresh run would print.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import hashlib
 import io
 import json
 import os
 import sys
 import tempfile
 import time
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -255,9 +260,25 @@ def _cache_store(path: str, cache: dict) -> None:
         raise
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the package's *.py and data/*.json files, sorted by path."""
+    package = Path(__file__).resolve().parent
+    files = sorted([*package.rglob("*.py"),
+                    *(package / "data").glob("*.json")])
+    digest = hashlib.sha256()
+    for path in files:
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(package).as_posix()}\0{len(data)}\0"
+                      .encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _with_cache(key: str, path: Optional[str], compute) -> dict:
     if path is None:
         return compute()
+    key = f"{_source_digest()}|{key}"
     cache = _cache_load(path)
     hit = cache.get(key)
     if hit is not None:

@@ -112,15 +112,12 @@ def r_lambda(g: Group, w: Element) -> int:
     if g.reflection_length(w) != 2:
         raise NotLengthTwo(f"element has length {g.reflection_length(w)}, "
                            "need 2")
-    car_npoints = g.npoints
+    # r1 r2 = w iff r1^-1 w = r2; T is closed under inversion, so count
+    # the s = r1^-1 in T with s w in T
+    car = g.carrier
     perm = w.perm
-    refl_set = frozenset(r.perm for r in g.reflections)
-    count = 0
-    for r in refl_set:
-        if kernels.compose(kernels.inverse(r, car_npoints), perm,
-                           car_npoints) in refl_set:
-            count += 1
-    return count
+    return sum(1 for s in car.refl_perms
+               if kernels.compose(s, perm, car.npoints) in car.refl_set)
 
 
 def derived_degree(g: Group, count: int) -> int:
@@ -163,7 +160,7 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
         for i in nc.preds_by_jump[2][j]:
             quot = kernels.compose(
                 kernels.inverse(nc.perms[i], npts), nc.perms[j], npts)
-            cid = nc.class_ids[nc.index[quot]]
+            cid = nc.class_id(nc.index[quot])
             per_class[cid] = per_class.get(cid, 0) + forward[i] * backward[j]
     rows = []
     for cls in strata_codim2(nc):

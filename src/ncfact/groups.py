@@ -175,6 +175,23 @@ def _carrier_root(name: str) -> _Carrier:
                     frozenset(rs.reflection_perms), cox, rs.codim)
 
 
+def _closure(gens: Sequence[bytes], npoints: int) -> set:
+    """The subgroup generated by gens, as a set of permutations."""
+    ident = kernels.identity(npoints)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = kernels.compose(x, g, npoints)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 class Group:
     """A well-generated reflection group; immutable after construction.
 
@@ -228,6 +245,10 @@ class Group:
                         f"{self.name}: Coxeter element has a fixed vector")
                 self._carrier = car
             return self._carrier
+
+    @property
+    def carrier(self) -> _Carrier:
+        return self._ensure()
 
     @property
     def npoints(self) -> int:
@@ -361,18 +382,15 @@ class Group:
         atoms = [r for r in car.refl_perms
                  if kernels.compose(kernels.inverse(r, np_), perm, np_)
                  in car.refl_set]
-        ident = kernels.identity(np_)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in atoms:
-                    y = kernels.compose(x, s, np_)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        # A dihedral parabolic has as many atoms as reflections, yet two of
+        # them generate it: an atom becomes a generator only when the
+        # closure so far misses it.
+        gens: List[bytes] = []
+        seen = {kernels.identity(np_)}
+        for a in atoms:
+            if a not in seen:
+                gens.append(a)
+                seen = _closure(gens, np_)
         # Count reflections of the closure, not just the atoms: e.g. the
         # Z3 x A1 parabolic of G(3,1,3) has 3 reflections but only 2 atoms.
         refls = [x for x in seen if x in car.refl_set]

@@ -78,6 +78,7 @@ def bfs_lengths(gens: Sequence[bytes], npoints: int) -> Dict[bytes, int]:
     dict is the deterministic BFS discovery order.
     """
     ident = identity(npoints)
+    wide = npoints > 256
     lengths: Dict[bytes, int] = {ident: 0}
     frontier: List[bytes] = [ident]
     dist = 0
@@ -85,8 +86,13 @@ def bfs_lengths(gens: Sequence[bytes], npoints: int) -> Dict[bytes, int]:
         dist += 1
         nxt: List[bytes] = []
         for w in frontier:
-            for g in gens:
-                x = compose(w, g, npoints)
+            if wide:
+                products = [compose(w, g, npoints) for g in gens]
+            else:
+                # compose(w, g) is g.translate over w's padded table
+                tw = w + _PAD[len(w):]
+                products = [g.translate(tw) for g in gens]
+            for x in products:
                 if x not in lengths:
                     lengths[x] = dist
                     nxt.append(x)

@@ -2,9 +2,11 @@
 
 NC(W, c) = {w : w =< c} in absolute order, graded by reflection length.
 Elements are sorted by (rank, permutation bytes), so index 0 is the identity
-and the last index is the Coxeter element; the order relation is stored as
-per-element bit rows.  Multichain and chain counting reduce to transfer
-sums over predecessor lists.
+and the last index is the Coxeter element.  The poset is found by walking
+down from c along covers, and the order relation, stored as per-element bit
+rows of up-sets, is the closure of those covers.  Class ids are computed
+only for the elements they are asked for.  Multichain and chain counting
+reduce to transfer sums over predecessor lists.
 """
 
 from __future__ import annotations
@@ -30,24 +32,37 @@ class NcClass:
 
 
 class NcPoset:
-    """Materialized NC(W, c); immutable after construction."""
+    """Materialized NC(W, c); immutable after construction, apart from the
+    memo of class ids asked for so far."""
 
     def __init__(self, group: Group):
         group.check_enumeration_budget()
         table = group.length_table()
-        car_npoints = group.npoints
+        car = group.carrier
+        npts = car.npoints
         n = group.rank
-        cperm = group.coxeter.perm
-        if table[cperm] != n:
+        if table[car.coxeter] != n:
             raise AssertionError(f"{group.name}: Coxeter element has length "
-                                 f"{table[cperm]}, expected rank {n}")
-        members: List[Tuple[int, bytes]] = []
-        for perm, length in table.items():
-            inv = kernels.inverse(perm, car_npoints)
-            rest = table[kernels.compose(inv, cperm, car_npoints)]
-            if length + rest == n:
-                members.append((length, perm))
-        members.sort()
+                                 f"{table[car.coxeter]}, expected rank {n}")
+        # [1, c] is graded and downward closed, so walking down from c by
+        # covers reaches all of it.  The lower covers of v are the v*t
+        # (t in T) one shorter: u <= v with l(u) = l(v) - 1 means u^-1 v is
+        # a reflection, and T is closed under inversion.
+        lower: Dict[bytes, List[bytes]] = {}
+        frontier = [car.coxeter]
+        for rank in range(n, 0, -1):
+            nxt: List[bytes] = []
+            for v in frontier:
+                below = [x for x in (kernels.compose(v, t, npts)
+                                     for t in car.refl_perms)
+                         if table[x] == rank - 1]
+                lower[v] = below
+                for x in below:
+                    if x not in lower:
+                        lower[x] = []
+                        nxt.append(x)
+            frontier = nxt
+        members = sorted((table[p], p) for p in lower)
         self.group = group
         self.perms: Tuple[bytes, ...] = tuple(p for _, p in members)
         self.ranks: Tuple[int, ...] = tuple(r for r, _ in members)
@@ -55,23 +70,29 @@ class NcPoset:
             Element(group.name, p) for p in self.perms)
         self.index: Dict[bytes, int] = {p: i for i, p in enumerate(self.perms)}
         self.size = len(self.perms)
-        self.leq_rows: Tuple[int, ...] = tuple(kernels.leq_rows(
-            list(self.perms), list(self.ranks), table, car_npoints))
-        self.class_ids: Tuple[ClassId, ...] = tuple(
-            group.conjugacy_class_id(e) for e in self.elements)
-        # succs/preds by exact rank jump; preds_all includes the diagonal
-        max_rank = n
+        # Rows are up-sets.  Upper covers have higher rank, hence higher
+        # index, so in decreasing index order row j is complete before it is
+        # OR-ed into the rows of j's lower covers.
+        rows = [0] * self.size
+        for j in range(self.size - 1, -1, -1):
+            rows[j] |= 1 << j
+            for x in lower[self.perms[j]]:
+                rows[self.index[x]] |= rows[j]
+        self.leq_rows: Tuple[int, ...] = tuple(rows)
+        self._class_ids: Dict[int, ClassId] = {}
+        # preds by exact rank jump; preds_all includes the diagonal
         preds: List[List[List[int]]] = [
-            [[] for _ in range(self.size)] for _ in range(max_rank + 1)]
+            [[] for _ in range(self.size)] for _ in range(n + 1)]
         preds_all: List[List[int]] = [[] for _ in range(self.size)]
-        for i in range(self.size):
-            row = self.leq_rows[i]
+        for i, row in enumerate(rows):
             ri = self.ranks[i]
-            for j in range(self.size):
-                if row >> j & 1:
-                    preds_all[j].append(i)
-                    if i != j:
-                        preds[self.ranks[j] - ri][j].append(i)
+            while row:
+                bit = row & -row
+                row ^= bit
+                j = bit.bit_length() - 1
+                preds_all[j].append(i)
+                if i != j:
+                    preds[self.ranks[j] - ri][j].append(i)
         self.preds_by_jump: Tuple[Tuple[Tuple[int, ...], ...], ...] = tuple(
             tuple(tuple(lst) for lst in level) for level in preds)
         self.preds_all: Tuple[Tuple[int, ...], ...] = tuple(
@@ -89,8 +110,16 @@ class NcPoset:
     def rank_of(self, x: Element) -> int:
         return self.ranks[self.index_of(x)]
 
+    def class_id(self, i: int) -> ClassId:
+        """Conjugacy class id of element i, computed on first request."""
+        cid = self._class_ids.get(i)
+        if cid is None:
+            cid = self.group.conjugacy_class_id(self.elements[i])
+            self._class_ids[i] = cid
+        return cid
+
     def class_of(self, x: Element) -> ClassId:
-        return self.class_ids[self.index_of(x)]
+        return self.class_id(self.index_of(x))
 
     def leq(self, u: Element, v: Element) -> bool:
         return bool(self.leq_rows[self.index_of(u)] >> self.index_of(v) & 1)
@@ -133,7 +162,7 @@ def strata_codim2(nc: NcPoset) -> List[NcClass]:
     buckets: Dict[ClassId, List[int]] = {}
     for i, rk in enumerate(nc.ranks):
         if rk == 2:
-            buckets.setdefault(nc.class_ids[i], []).append(i)
+            buckets.setdefault(nc.class_id(i), []).append(i)
     classes = [NcClass(class_id=cid, rank=2,
                        representative=nc.elements[idxs[0]],
                        size_in_nc=len(idxs))

@@ -193,6 +193,24 @@ def test_cache_key_distinguishes_params(capsys, tmp_path):
     assert len(json.loads(cache.read_text())) == 3
 
 
+def test_cache_entry_from_other_sources_is_recomputed(capsys, tmp_path):
+    cache = tmp_path / "cache.json"
+    argv = ("count", "A3", "red", "--format", "json")
+    code, fresh, _ = run_cli(capsys, *argv, "--cache", str(cache))
+    assert code == 0
+    (key, payload), = json.loads(cache.read_text()).items()
+    digest, rest = key.split("|", 1)
+    assert len(digest) == 64
+    stale = json.loads(json.dumps(payload))
+    stale["checks"][0]["actual"] = "999"
+    # one entry under another source digest, one under the version-only key
+    # that older code wrote
+    cache.write_text(json.dumps({"0" * 64 + "|" + rest: stale, rest: stale}))
+    code, out, _ = run_cli(capsys, *argv, "--cache", str(cache))
+    assert code == 0 and out == fresh
+    assert json.loads(cache.read_text())[key] == payload
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "ncfact.cli", "info", "A2"],
                           capture_output=True, text=True)

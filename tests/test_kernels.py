@@ -109,6 +109,30 @@ def test_bfs_lengths_vs_brute(k):
     assert lengths[_perm([1, 0, 3, 2], 4)] == 2
 
 
+def _naive_bfs(k, gens, npoints):
+    lengths = {k.identity(npoints): 0}
+    frontier = list(lengths)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                x = k.compose(w, g, npoints)
+                if x not in lengths:
+                    lengths[x] = lengths[w] + 1
+                    nxt.append(x)
+        frontier = nxt
+    return lengths
+
+
+# I2(150) permutes 300 points, so its BFS runs on the 2-byte path
+@pytest.mark.parametrize("name", ["F4", "G(3,1,3)", "I2(150)"])
+def test_bfs_lengths_matches_naive_bfs(k, group_of, name):
+    car = group_of(name).carrier
+    lengths = k.bfs_lengths(car.refl_perms, car.npoints)
+    naive = _naive_bfs(k, car.refl_perms, car.npoints)
+    assert list(lengths.items()) == list(naive.items())
+
+
 def test_bfs_insertion_order_is_bfs(k):
     gens = _s4_transpositions()
     lengths = list(k.bfs_lengths(gens, 4).values())

@@ -5,8 +5,11 @@ from collections import Counter
 
 import pytest
 
+from ncfact import build_group, build_nc, kernels
 from ncfact.errors import NonIntegerResult, NotInNC, RankTooSmall
+from ncfact.facto import submaximal_by_class
 from ncfact.families import parse_group
+from ncfact.groups import Element
 from ncfact.ncp import count_multichains, fuss_catalan, strata_codim2
 
 # |NC(W)| = prod (d_i + h)/d_i, all independently recomputable by hand
@@ -124,3 +127,76 @@ def test_members_sorted_by_rank_then_perm(nc_of):
     nc = nc_of("B3")
     keys = list(zip(nc.ranks, nc.perms))
     assert keys == sorted(keys)
+
+
+# every group the suite builds up to |W| = 51840 (E6)
+ORACLE_GROUPS = (
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "D4", "D5", "D6",
+    "H3", "F4", "H4", "E6", "I2(5)", "I2(150)", "G(3,1,3)", "G(3,1,4)",
+    "G(4,1,3)", "G(3,3,3)", "G(4,4,3)", "G(5,5,4)",
+)
+
+
+def _old_route(group):
+    """NC as built before the walk down from c: membership by
+    l(w) + l(w^-1 c) = n over the whole length table, all-pairs
+    kernels.leq_rows, predecessor lists from every bit, and class ids from
+    a conjugation orbit per element."""
+    table = group.length_table()
+    car = group.carrier
+    npts, n = car.npoints, group.rank
+    members = sorted(
+        (length, perm) for perm, length in table.items()
+        if length + table[kernels.compose(kernels.inverse(perm, npts),
+                                          car.coxeter, npts)] == n)
+    perms = [p for _, p in members]
+    ranks = [r for r, _ in members]
+    rows = kernels.leq_rows(perms, ranks, table, npts)
+    size = len(perms)
+    preds = [[[] for _ in range(size)] for _ in range(n + 1)]
+    preds_all = [[] for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if rows[i] >> j & 1:
+                preds_all[j].append(i)
+                if i != j:
+                    preds[ranks[j] - ranks[i]][j].append(i)
+    class_ids = [
+        Element(group.name, min(kernels.conj_orbit(p, car.refl_perms, npts)))
+        .serialize() if r == 2 else None
+        for r, p in members]
+    return perms, ranks, rows, preds, preds_all, class_ids
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_poset_matches_old_route(nc_of, name):
+    nc = nc_of(name)
+    perms, ranks, rows, preds, preds_all, class_ids = _old_route(nc.group)
+    assert list(nc.perms) == perms
+    assert list(nc.ranks) == ranks
+    assert list(nc.leq_rows) == rows
+    assert [[list(lst) for lst in level] for level in nc.preds_by_jump] \
+        == preds
+    assert [list(lst) for lst in nc.preds_all] == preds_all
+    assert [nc.class_id(i) if r == 2 else None
+            for i, r in enumerate(nc.ranks)] == class_ids
+
+
+def test_class_ids_only_for_rank_two(monkeypatch):
+    seeds = []
+    real = kernels.conj_orbit
+
+    def spy(seed, gens, npoints):
+        seeds.append(seed)
+        return real(seed, gens, npoints)
+
+    monkeypatch.setattr(kernels, "conj_orbit", spy)
+    for name in ("B3", "D4", "G(3,1,3)"):
+        g = build_group(name)
+        nc = build_nc(g)
+        assert not seeds
+        submaximal_by_class(nc)
+        assert seeds
+        assert all(g.reflection_length(Element(g.name, p)) == 2
+                   for p in seeds)
+        seeds.clear()

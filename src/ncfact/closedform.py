@@ -1,19 +1,23 @@
 """Closed-form counting identities and the per-class factorization table.
 
-The table rows are stored symbolically in the parameters n and e with
-applicability predicates, evaluated exactly (integer literals become
-Fractions before eval).  Rows for five rank >= 3 types that have no faithful
-carrier here (G24, G27, G29, G33, G34) ship as reference records: they join
-the row-level identity checks and the machine-readable export, but no group
-construction uses them.
+The table rows ship in data/ll_table.json, stored symbolically in the
+parameters n and e with applicability predicates, and are evaluated exactly
+(integer literals become Fractions before eval).  Rows for five rank >= 3
+types that have no faithful carrier here (G24, G27, G29, G33, G34) ship as
+reference records: they join the row-level identity checks and the
+machine-readable export, but no group construction uses them.
 """
 
 from __future__ import annotations
 
+import copy
+import json
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
 from ncfact.errors import NonIntegerResult, NoTableRow, RankTooSmall
@@ -93,90 +97,19 @@ def prefactor_of(spec: GroupSpec) -> Fraction:
     return Fraction(math.factorial(n - 2) * spec.h ** (n - 1), spec.order)
 
 
-# Symbolic rows.  entries are (r_expr, u_expr) pairs; u evaluating to zero
-# means the class is absent at that parameter.  Reference rows carry their
-# degrees so row-level identities remain checkable.
-_TABLE: Tuple[dict, ...] = (
-    dict(row="A", realizable=True, params="n",
-         applies="A(n), n >= 2 (also D3 = A3)",
-         prefactor="(n+1)**(n-2) / (n*(n-1))",
-         entries=(("2", "n*(n-1)*(n-2)/2"), ("3", "n*(n-1)"))),
-    dict(row="B", realizable=True, params="n",
-         applies="B(n) = G(2,1,n), n >= 2",
-         prefactor="n**(n-2) / (2*(n-1))",
-         entries=(("2", "(n-1)*(n-2)*(n-3)"), ("2", "2*(n-1)*(n-2)"),
-                  ("3", "2*(n-1)*(n-2)"), ("4", "2*(n-1)"))),
-    dict(row="I2", realizable=True, params="e",
-         applies="I2(e), e >= 2 (e = 2 is D2)",
-         prefactor="1/2",
-         entries=(("e", "2"),)),
-    dict(row="GEEN-large", realizable=True, params="n,e",
-         applies="G(e,e,n), n >= 5 (e = 2 is D(n))",
-         prefactor="(n-1)**(n-2) / n",
-         entries=(("2", "n*(n-2)*(n-3)*e/2"), ("3", "n*(n-2)*e"),
-                  ("e", "n"))),
-    dict(row="GEEN-3-coprime", realizable=True, params="e",
-         applies="G(e,e,3), 3 not dividing e", rank=3,
-         prefactor="2/3",
-         entries=(("3", "3*e"), ("e", "3"))),
-    dict(row="GEEN-3-divisible", realizable=True, params="e",
-         applies="G(e,e,3), 3 divides e", rank=3,
-         prefactor="2/3",
-         entries=(("3", "e"), ("3", "e"), ("3", "e"), ("e", "3"))),
-    dict(row="GEEN-4-odd", realizable=True, params="e",
-         applies="G(e,e,4), e odd", rank=4,
-         prefactor="9/4",
-         entries=(("2", "4*e"), ("3", "8*e"), ("e", "4"))),
-    dict(row="GEEN-4-even", realizable=True, params="e",
-         applies="G(e,e,4), e even (e = 2 is D4)", rank=4,
-         prefactor="9/4",
-         entries=(("2", "2*e"), ("2", "2*e"), ("3", "8*e"), ("e", "4"))),
-    dict(row="H3", realizable=True, params="", applies="H3", rank=3, h=10,
-         prefactor="5/6", entries=(("2", "6"), ("3", "6"), ("5", "6"))),
-    dict(row="F4", realizable=True, params="", applies="F4", rank=4, h=12,
-         prefactor="3",
-         entries=(("2", "24"), ("3", "8"), ("3", "8"), ("4", "12"))),
-    dict(row="H4", realizable=True, params="", applies="H4", rank=4, h=30,
-         prefactor="15/4", entries=(("2", "60"), ("3", "40"), ("5", "24"))),
-    dict(row="E6", realizable=True, params="", applies="E6", rank=6, h=12,
-         prefactor="576/5", entries=(("2", "90"), ("3", "60"))),
-    dict(row="E7", realizable=True, params="", applies="E7", rank=7, h=18,
-         prefactor="19683/14", entries=(("2", "210"), ("3", "112"))),
-    dict(row="E8", realizable=True, params="", applies="E8", rank=8, h=30,
-         prefactor="1265625/56", entries=(("2", "504"), ("3", "224"))),
-    dict(row="G24", realizable=False, params="", applies="reference only",
-         rank=3, h=14, degrees=(4, 6, 14),
-         prefactor="7/12", entries=(("3", "12"), ("4", "12"))),
-    dict(row="G27", realizable=False, params="", applies="reference only",
-         rank=3, h=30, degrees=(6, 12, 30),
-         prefactor="5/12",
-         entries=(("3", "12"), ("3", "12"), ("4", "12"), ("5", "12"))),
-    dict(row="G29", realizable=False, params="", applies="reference only",
-         rank=4, h=20, degrees=(4, 8, 12, 20),
-         prefactor="25/12",
-         entries=(("2", "24"), ("3", "48"), ("4", "12"))),
-    dict(row="G33", realizable=False, params="", applies="reference only",
-         rank=5, h=18, degrees=(4, 6, 10, 12, 18),
-         prefactor="243/20", entries=(("2", "60"), ("3", "80"))),
-    dict(row="G34", realizable=False, params="", applies="reference only",
-         rank=6, h=42, degrees=(6, 12, 18, 24, 30, 42),
-         prefactor="2401/30", entries=(("2", "270"), ("3", "240"))),
-)
+@cache
+def _table() -> List[dict]:
+    """The symbolic rows of data/ll_table.json.  entries are [r_expr, u_expr]
+    pairs; u evaluating to zero means the class is absent at that parameter.
+    Reference rows carry their degrees so row-level identities remain
+    checkable."""
+    text = resources.files("ncfact").joinpath("data/ll_table.json").read_text()
+    return json.loads(text)
 
 
 def table_records() -> List[dict]:
-    """The embedded table, verbatim, as JSON-ready records."""
-    records = []
-    for row in _TABLE:
-        rec = dict(row=row["row"], realizable=row["realizable"],
-                   applies=row["applies"], params=row["params"],
-                   prefactor=row["prefactor"],
-                   entries=[[r, u] for r, u in row["entries"]])
-        for key in ("rank", "h", "degrees"):
-            if key in row:
-                rec[key] = list(row[key]) if key == "degrees" else row[key]
-        records.append(rec)
-    return records
+    """The bundled table as JSON-ready records, a fresh copy on each call."""
+    return copy.deepcopy(_table())
 
 
 @dataclass(frozen=True)
@@ -191,7 +124,7 @@ class ExpectedRow:
 
 
 def _row_by_name(name: str) -> dict:
-    for row in _TABLE:
+    for row in _table():
         if row["row"] == name:
             return row
     raise KeyError(name)

@@ -93,16 +93,6 @@ class GroupSpec:
         return sum(d - 1 for d in self.degrees)
 
     @property
-    def scalar_domain(self) -> str:
-        if self.family == "A":
-            return "permutation"
-        if self.family in ("B", "D", "I2", "GD1N", "GEEN"):
-            return "monomial"
-        if self.family in ("H3", "H4"):
-            return "golden-matrix"
-        return "rational-matrix"
-
-    @property
     def is_two_reflection(self) -> bool:
         """True when every reflection has order 2 (no diagonal order > 2)."""
         return not (self.family == "GD1N" and self.d > 2)

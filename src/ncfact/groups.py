@@ -15,9 +15,7 @@ raise BudgetExceeded; an explicit budget is compared against |W| only.
 from __future__ import annotations
 
 import math
-import sys
 import threading
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -45,25 +43,6 @@ class Element:
         return f"Element({self.tag}, {self.perm.hex()})"
 
 
-def _pack(images: Sequence[int], npoints: int) -> bytes:
-    if npoints <= 256:
-        return bytes(images)
-    arr = array("H", images)
-    if sys.byteorder == "big":
-        arr.byteswap()
-    return arr.tobytes()
-
-
-def _unpack(perm: bytes, npoints: int) -> Sequence[int]:
-    if npoints <= 256:
-        return perm
-    arr = array("H")
-    arr.frombytes(perm)
-    if sys.byteorder == "big":
-        arr.byteswap()
-    return arr
-
-
 @dataclass
 class _Carrier:
     npoints: int
@@ -80,11 +59,11 @@ def _carrier_a(n: int) -> _Carrier:
         for j in range(i + 1, npts):
             img = list(range(npts))
             img[i], img[j] = j, i
-            refls.append(_pack(img, npts))
-    cox = _pack([(i + 1) % npts for i in range(npts)], npts)
+            refls.append(kernels.pack(img, npts))
+    cox = kernels.pack([(i + 1) % npts for i in range(npts)], npts)
 
     def codim(perm: bytes) -> int:
-        images = _unpack(perm, npts)
+        images = kernels.unpack(perm, npts)
         seen = bytearray(npts)
         cycles = 0
         for start in range(npts):
@@ -112,7 +91,7 @@ def _carrier_monomial(spec: GroupSpec) -> _Carrier:
             ci = colors[i]
             for k in range(d):
                 img[i * d + k] = base + (k + ci) % d
-        return _pack(img, npts)
+        return kernels.pack(img, npts)
 
     def transp(i: int, j: int, a: int) -> bytes:
         sigma = list(range(n))
@@ -147,7 +126,7 @@ def _carrier_monomial(spec: GroupSpec) -> _Carrier:
             cox = kernels.compose(cox, p, npts)
 
     def codim(perm: bytes) -> int:
-        images = _unpack(perm, npts)
+        images = kernels.unpack(perm, npts)
         fixed = 0
         seen = bytearray(n)
         for start in range(n):
@@ -207,7 +186,6 @@ class Group:
         self.h = spec.h
         self.order = spec.order
         self.num_reflections = spec.num_reflections
-        self.scalar_domain = spec.scalar_domain
         self.budget = budget
         self._carrier: Optional[_Carrier] = None
         self._lengths: Optional[Dict[bytes, int]] = None

@@ -1,10 +1,12 @@
-"""Pure-Python permutation kernel.
+"""Permutation kernels, in pure Python.
 
 A permutation on npoints points is bytes of length npoints (one byte per
 image) when npoints <= 256, else length 2*npoints (uint16 images, explicitly
-little-endian so serializations are platform-independent).  compose(a, b)
-returns the permutation x -> a[b[x]], i.e. apply b first; this matches the
-convention (v*w)(x) = v(w(x)) used for group products throughout.
+little-endian so serializations are platform-independent); this module is
+the only one that knows the format, and `pack`/`unpack` convert between it
+and a sequence of images.  compose(a, b) returns the permutation
+x -> a[b[x]], i.e. apply b first; this matches the convention
+(v*w)(x) = v(w(x)) used for group products throughout.
 """
 
 from __future__ import annotations
@@ -13,26 +15,32 @@ import sys
 from array import array
 from typing import Dict, List, Sequence
 
+BACKEND = "pure"
 
-def _u16(data: bytes) -> array:
+
+def pack(images: Sequence[int], npoints: int) -> bytes:
+    """The permutation x -> images[x], serialized."""
+    if npoints <= 256:
+        return bytes(images)
+    arr = array("H", images)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr.tobytes()
+
+
+def unpack(perm: bytes, npoints: int) -> Sequence[int]:
+    """The images of a serialized permutation, indexable by point."""
+    if npoints <= 256:
+        return perm
     arr = array("H")
-    arr.frombytes(data)
+    arr.frombytes(perm)
     if sys.byteorder == "big":
         arr.byteswap()
     return arr
 
 
-def _u16_bytes(arr: array) -> bytes:
-    if sys.byteorder == "big":
-        arr = array("H", arr)
-        arr.byteswap()
-    return arr.tobytes()
-
-
 def identity(npoints: int) -> bytes:
-    if npoints <= 256:
-        return bytes(range(npoints))
-    return _u16_bytes(array("H", range(npoints)))
+    return pack(range(npoints), npoints)
 
 
 _PAD = bytes(range(256))
@@ -43,21 +51,15 @@ def compose(a: bytes, b: bytes, npoints: int) -> bytes:
     if npoints <= 256:
         # translate wants a 256-byte table; the padded tail is never hit
         return b.translate(a + _PAD[len(a):])
-    aa, bb = _u16(a), _u16(b)
-    return _u16_bytes(array("H", [aa[x] for x in bb]))
+    aa, bb = unpack(a, npoints), unpack(b, npoints)
+    return pack([aa[x] for x in bb], npoints)
 
 
 def inverse(a: bytes, npoints: int) -> bytes:
-    if npoints <= 256:
-        out = bytearray(npoints)
-        for i, img in enumerate(a):
-            out[img] = i
-        return bytes(out)
-    aa = _u16(a)
-    out = array("H", bytes(2 * npoints))
-    for i, img in enumerate(aa):
+    out = [0] * npoints
+    for i, img in enumerate(unpack(a, npoints)):
         out[img] = i
-    return _u16_bytes(out)
+    return pack(out, npoints)
 
 
 def perm_order(a: bytes, npoints: int) -> int:

@@ -16,8 +16,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Dict, Sequence, Tuple
 
+from ncfact import kernels
 from ncfact.exact import GOLDEN_ONE, GOLDEN_ZERO, Golden, matrix_rank
-from ncfact.kernels import pure as _pure
 
 Vector = Tuple[Golden, ...]
 
@@ -116,7 +116,8 @@ def build_root_system(name: str) -> RootSystem:
 
     def refl_perm(beta: Vector) -> bytes:
         form = _form(gram, beta)
-        return bytes(index[_reflect(form, beta, r)] for r in root_list)
+        return kernels.pack([index[_reflect(form, beta, r)]
+                             for r in root_list], npoints)
 
     # negation reverses the (a, b)-lexicographic order, so root i and root
     # npoints-1-i are a +/- pair with one reflection: the first half suffices
@@ -130,6 +131,6 @@ def build_root_system(name: str) -> RootSystem:
                     index=index, reflection_perms=tuple(perms),
                     simple_perms=simple_perms)
     for p in simple_perms:
-        if _pure.compose(p, p, npoints) != _pure.identity(npoints):
+        if kernels.compose(p, p, npoints) != kernels.identity(npoints):
             raise AssertionError(f"{name}: simple reflection not an involution")
     return rs

@@ -130,3 +130,13 @@ def test_bundled_table_file_matches():
     raw = (resources.files("ncfact") / "data" / "ll_table.json").read_text()
     assert json.loads(raw) == table_records()
     assert raw == json.dumps(table_records(), indent=2, sort_keys=True) + "\n"
+
+
+def test_table_records_are_fresh_copies():
+    spec = parse_group("B4")
+    before = expected_ll_data(spec)
+    records = table_records()
+    records[1]["entries"][0][1] = "0"
+    records.clear()
+    assert table_records()[1]["entries"][0] == ["2", "(n-1)*(n-2)*(n-3)"]
+    assert expected_ll_data(spec) == before

@@ -1,27 +1,14 @@
-"""Kernel backends: algebra, orders, BFS, order rows — pure vs. compiled.
-
-Every test runs against each available backend, and the cross-backend test
-asserts byte-identical results so the compiled path can never drift from
-the reference implementation.
-"""
+"""Permutation kernels: byte format, algebra, orders, BFS, order rows."""
 
 import itertools
 import random
 
 import pytest
 
-from ncfact.kernels import pure
-
-BACKENDS = [pure]
-try:
-    from ncfact.kernels import _fastperm
-    BACKENDS.append(_fastperm)
-except ImportError:  # compiled extension is optional
-    pass
+from ncfact import kernels
 
 
-@pytest.fixture(params=BACKENDS,
-                ids=[m.__name__.rsplit(".", 1)[-1] for m in BACKENDS])
+@pytest.fixture(params=[kernels], ids=[kernels.BACKEND])
 def k(request):
     return request.param
 
@@ -43,6 +30,15 @@ def _random_perm(rng, npoints):
 
 def test_identity(k):
     assert k.identity(5) == bytes(range(5))
+
+
+@pytest.mark.parametrize("npoints", [6, 256, 300])
+def test_pack_unpack_round_trip(k, npoints):
+    images = list(range(npoints))
+    random.Random(3).shuffle(images)
+    perm = k.pack(images, npoints)
+    assert perm == _perm(images, npoints)
+    assert list(k.unpack(perm, npoints)) == images
 
 
 def test_compose_applies_right_factor_first(k):
@@ -176,45 +172,3 @@ def test_leq_rows_wide_poset(k):
     rows = k.leq_rows(members, ranks, dict(lengths), npoints)
     ident_row = rows[0]
     assert ident_row == (1 << 120) - 1  # identity is below everything
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
-def test_backends_agree():
-    fast = BACKENDS[1]
-    rng = random.Random(11)
-    for npoints in (5, 300):
-        a = _random_perm(rng, npoints)
-        b = _random_perm(rng, npoints)
-        assert pure.compose(a, b, npoints) == fast.compose(a, b, npoints)
-        assert pure.inverse(a, npoints) == fast.inverse(a, npoints)
-        assert pure.perm_order(a, npoints) == fast.perm_order(a, npoints)
-    gens = _s4_transpositions()
-    assert pure.bfs_lengths(gens, 4) == fast.bfs_lengths(gens, 4)
-    assert pure.conj_orbit(gens[0], gens, 4) == fast.conj_orbit(gens[0],
-                                                                gens, 4)
-    lengths = pure.bfs_lengths(gens, 4)
-    members = sorted(lengths, key=lambda p: (lengths[p], p))
-    ranks = [lengths[p] for p in members]
-    assert (pure.leq_rows(members, ranks, lengths, 4)
-            == fast.leq_rows(members, ranks, lengths, 4))
-
-
-def test_env_var_selects_pure_backend():
-    import os
-    import subprocess
-    import sys
-
-    import ncfact
-    pkg_root = os.path.dirname(os.path.dirname(ncfact.__file__))
-    inherited = os.environ.get("PYTHONPATH")
-    # The child must import the same ncfact as this process, so PYTHONPATH
-    # is passed; PATH is pinned so no other outer variable sways selection.
-    env = {"NCFACT_PURE": "1", "PATH": "/usr/bin:/bin",
-           "PYTHONPATH": os.pathsep.join(
-               [pkg_root] + ([inherited] if inherited else []))}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from ncfact import kernels; print(kernels.BACKEND)"],
-        env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure"

@@ -17,7 +17,11 @@ sorted, and timing goes to stderr only.  The optional cache file stores
 finished payloads keyed by (source digest, version, command, group,
 parameters), where the source digest covers the package's code and data
 files, so an entry written by other code is recomputed, never replayed; a
-cache hit replays exactly the bytes a fresh run would print.
+cache hit replays exactly the bytes a fresh run would print.  A run holds
+an exclusive lock on the sidecar file PATH.lock while it reads, computes
+and stores, so concurrent runs keep each other's entries, and a file that
+does not parse as a cache is left as it is: the run recomputes and says so
+on stderr.
 """
 
 from __future__ import annotations
@@ -234,18 +238,21 @@ def render(command: str, payload: dict, fmt: str) -> str:
 
 # ------------------------------------------------------------------- cache
 
-def _cache_load(path: str) -> dict:
+def _cache_load(path: str) -> Optional[dict]:
+    """The entries in the cache file: {} when there is no file yet, None
+    when the file is not a readable cache."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return data if isinstance(data, dict) else {}
-    except (OSError, ValueError):
+    except FileNotFoundError:
         return {}
+    except (OSError, ValueError):
+        return None
+    return data if isinstance(data, dict) else None
 
 
 def _cache_store(path: str, cache: dict) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".ncfact-cache-", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -278,15 +285,25 @@ def _source_digest() -> str:
 def _with_cache(key: str, path: Optional[str], compute) -> dict:
     if path is None:
         return compute()
+    import fcntl  # POSIX only, and only --cache needs it
     key = f"{_source_digest()}|{key}"
-    cache = _cache_load(path)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    payload = compute()
-    cache[key] = payload
-    _cache_store(path, cache)
-    return payload
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # concurrent runs read, compute and store one at a time; closing the
+    # sidecar file releases its lock
+    with open(path + ".lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        cache = _cache_load(path)
+        if cache is None:
+            print(f"ncfact: note: {path} is not a readable cache; "
+                  "recomputing and leaving it unchanged", file=sys.stderr)
+            return compute()
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        payload = compute()
+        cache[key] = payload
+        _cache_store(path, cache)
+        return payload
 
 
 # --------------------------------------------------------------- arg plumbing
@@ -372,6 +389,10 @@ def _dispatch(args: argparse.Namespace) -> dict:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # output is exact decimal, so lift the int-to-str digit limit
+    # (Python >= 3.11) that |W| of e.g. A3000 would exceed
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -3,7 +3,7 @@
 A block factorization of c is a tuple of non-identity elements whose product
 is c and whose reflection lengths sum to l(c) = rank.  Factorizations with
 composition (l(w_1), ..., l(w_p)) correspond to strict rank-jump chains in
-NC(W, c), so all counting is transfer-matrix work over the materialized
+NC(W, c), so all counting is `ncp.transfer` steps over the materialized
 poset; explicit enumeration is kept alongside as an independent route and
 for the Hurwitz/concatenation checks.
 """
@@ -19,7 +19,7 @@ from ncfact import kernels
 from ncfact.errors import (BudgetExceeded, IndexOutOfRange, NonIntegerResult,
                            NotLengthTwo, RankTooSmall)
 from ncfact.groups import ClassId, Element, Group
-from ncfact.ncp import NcPoset, strata_codim2
+from ncfact.ncp import NcPoset, strata_codim2, transfer
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,19 @@ def _validate_composition(nc: NcPoset, comp: Sequence[int]) -> Tuple[int, ...]:
     return parts
 
 
+def _count_chains(nc: NcPoset, jump_sets: Iterable[Sequence[int]]) -> int:
+    """Chains from the identity to c with t-th rank jump in jump_sets[t]."""
+    vec = [0] * nc.size
+    vec[0] = 1
+    for jumps in jump_sets:
+        vec = transfer(nc, vec, jumps)
+    return vec[-1]
+
+
 def count_fact_by_composition(nc: NcPoset, comp: Sequence[int]) -> int:
     """Factorizations with the given length composition, by transfer sums."""
     parts = _validate_composition(nc, comp)
-    vec = [0] * nc.size
-    vec[0] = 1
-    for part in parts:
-        preds = nc.preds_by_jump[part]
-        vec = [sum(vec[i] for i in preds[j]) for j in range(nc.size)]
-    return vec[-1]
+    return _count_chains(nc, [(part,) for part in parts])
 
 
 def count_fact_k(nc: NcPoset, k: int) -> int:
@@ -93,13 +97,7 @@ def count_fact_k(nc: NcPoset, k: int) -> int:
         raise ValueError("k must be >= 1")
     if k > n:
         return 0
-    strict = [tuple(i for i in nc.preds_all[j] if i != j)
-              for j in range(nc.size)]
-    vec = [0] * nc.size
-    vec[0] = 1
-    for _ in range(k):
-        vec = [sum(vec[i] for i in strict[j]) for j in range(nc.size)]
-    return vec[-1]
+    return _count_chains(nc, [range(1, n + 1)] * k)
 
 
 def count_reduced(nc: NcPoset) -> int:
@@ -146,14 +144,12 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     forward[0] = 1
     for j in range(1, size):
         forward[j] = sum(forward[i] for i in covers[j])
-    succs: List[List[int]] = [[] for _ in range(size)]
-    for j in range(size):
-        for i in covers[j]:
-            succs[i].append(j)
+    # upper covers have higher index, so backward[j] is final when read
     backward = [0] * size
     backward[size - 1] = 1
-    for i in range(size - 2, -1, -1):
-        backward[i] = sum(backward[j] for j in succs[i])
+    for j in range(size - 1, 0, -1):
+        for i in covers[j]:
+            backward[i] += backward[j]
     npts = g.npoints
     per_class: Dict[ClassId, int] = {}
     for j in range(size):
@@ -175,6 +171,16 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     return rows
 
 
+def _braid(a: bytes, b: bytes, direction: int,
+           npts: int) -> Tuple[bytes, bytes]:
+    """(a, b) -> (aba^-1, a) for direction 1, (b, b^-1 ab) for -1."""
+    if direction == 1:
+        return (kernels.compose(kernels.compose(a, b, npts),
+                                kernels.inverse(a, npts), npts), a)
+    return (b, kernels.compose(kernels.compose(
+        kernels.inverse(b, npts), a, npts), b, npts))
+
+
 def hurwitz_move(g: Group, f: Factorization, i: int,
                  direction: int = 1) -> Factorization:
     """Braid move at window i (1-based): (a, b) -> (aba^-1, a), or the
@@ -184,11 +190,9 @@ def hurwitz_move(g: Group, f: Factorization, i: int,
         raise IndexOutOfRange(f"window {i} not in 1..{p - 1}")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    a, b = f.factors[i - 1], f.factors[i]
-    if direction == 1:
-        moved = (g.multiply(g.multiply(a, b), g.inverse(a)), a)
-    else:
-        moved = (b, g.multiply(g.multiply(g.inverse(b), a), b))
+    a, b = (g._own(x) for x in f.factors[i - 1:i + 1])
+    moved = tuple(Element(g.name, q)
+                  for q in _braid(a, b, direction, g.npoints))
     return Factorization(f.factors[:i - 1] + moved + f.factors[i + 1:])
 
 
@@ -196,30 +200,14 @@ def hurwitz_orbit(g: Group, f: Factorization,
                   cap: Optional[int] = None) -> List[Factorization]:
     """Orbit of f under all braid moves, BFS order; BudgetExceeded past cap."""
     npts = g.npoints
-    start = tuple(x.perm for x in f.factors)
-    p = len(start)
-    seen = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for i in range(p - 1):
-                a, b = state[i], state[i + 1]
-                conj = kernels.compose(kernels.compose(a, b, npts),
-                                       kernels.inverse(a, npts), npts)
-                back = kernels.compose(kernels.compose(
-                    kernels.inverse(b, npts), a, npts), b, npts)
-                for t in (state[:i] + (conj, a) + state[i + 2:],
-                          state[:i] + (b, back) + state[i + 2:]):
-                    if t not in seen:
-                        if cap is not None and len(seen) >= cap:
-                            raise BudgetExceeded(
-                                f"Hurwitz orbit exceeds cap {cap}")
-                        seen[t] = None
-                        nxt.append(t)
-        frontier = nxt
+    orbit = kernels.bfs(
+        [tuple(x.perm for x in f.factors)],
+        lambda state: [state[:i] + _braid(state[i], state[i + 1], d, npts)
+                       + state[i + 2:]
+                       for i in range(len(state) - 1) for d in (1, -1)],
+        cap)
     return [Factorization(tuple(Element(g.name, q) for q in state))
-            for state in seen]
+            for state in orbit]
 
 
 def enumerate_by_composition(nc: NcPoset, comp: Sequence[int],
@@ -232,30 +220,23 @@ def enumerate_by_composition(nc: NcPoset, comp: Sequence[int],
             raise BudgetExceeded(f"{total} factorizations exceed cap {cap}")
     g = nc.group
     npts = g.npoints
-    succs_by_jump: List[Dict[int, List[int]]] = [dict() for _ in parts]
-    # succs_by_jump[t][i] = poset successors of i at jump parts[t]
-    for t, part in enumerate(parts):
-        preds = nc.preds_by_jump[part]
-        table: Dict[int, List[int]] = {}
-        for j in range(nc.size):
-            for i in preds[j]:
-                table.setdefault(i, []).append(j)
-        succs_by_jump[t] = table
     out: List[Factorization] = []
     factors: List[Element] = []
 
-    def walk(idx: int, t: int) -> None:
-        if t == len(parts):
-            out.append(Factorization(tuple(factors)))
+    # walk down from c: the t-th step from the top peels off the factor of
+    # length parts[-t], so the factors come out last first
+    def walk(j: int, t: int) -> None:
+        if t == 0:
+            out.append(Factorization(tuple(reversed(factors))))
             return
-        for j in succs_by_jump[t].get(idx, ()):
+        for i in nc.preds_by_jump[parts[t - 1]][j]:
             quot = kernels.compose(
-                kernels.inverse(nc.perms[idx], npts), nc.perms[j], npts)
+                kernels.inverse(nc.perms[i], npts), nc.perms[j], npts)
             factors.append(Element(g.name, quot))
-            walk(j, t + 1)
+            walk(i, t - 1)
             factors.pop()
 
-    walk(0, 0)
+    walk(nc.size - 1, len(parts))
     return out
 
 

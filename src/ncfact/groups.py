@@ -15,7 +15,6 @@ raise BudgetExceeded; an explicit budget is compared against |W| only.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -154,23 +153,6 @@ def _carrier_root(name: str) -> _Carrier:
                     frozenset(rs.reflection_perms), cox, rs.codim)
 
 
-def _closure(gens: Sequence[bytes], npoints: int) -> set:
-    """The subgroup generated by gens, as a set of permutations."""
-    ident = kernels.identity(npoints)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = kernels.compose(x, g, npoints)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
 class Group:
     """A well-generated reflection group; immutable after construction.
 
@@ -189,7 +171,6 @@ class Group:
         self.budget = budget
         self._carrier: Optional[_Carrier] = None
         self._lengths: Optional[Dict[bytes, int]] = None
-        self._lock = threading.Lock()
         self._class_ids: Dict[bytes, ClassId] = {}
         self._parabolics: Dict[bytes, Tuple[Tuple[int, int], bool]] = {}
 
@@ -199,30 +180,27 @@ class Group:
     # -- carrier and basic arithmetic ------------------------------------
 
     def _ensure(self) -> _Carrier:
-        car = self._carrier
-        if car is not None:
-            return car
-        with self._lock:
-            if self._carrier is None:
-                fam = self.spec.family
-                if fam == "A":
-                    car = _carrier_a(self.spec.n)
-                elif fam in ("B", "D", "I2", "GD1N", "GEEN"):
-                    car = _carrier_monomial(self.spec)
-                else:
-                    car = _carrier_root(fam)
-                if len(car.refl_perms) != self.num_reflections:
-                    raise AssertionError(
-                        f"{self.name}: built {len(car.refl_perms)} "
-                        f"reflections, degrees say {self.num_reflections}")
-                if kernels.perm_order(car.coxeter, car.npoints) != self.h:
-                    raise AssertionError(
-                        f"{self.name}: Coxeter element order is not h={self.h}")
-                if car.codim(car.coxeter) != self.rank:
-                    raise AssertionError(
-                        f"{self.name}: Coxeter element has a fixed vector")
-                self._carrier = car
+        if self._carrier is not None:
             return self._carrier
+        fam = self.spec.family
+        if fam == "A":
+            car = _carrier_a(self.spec.n)
+        elif fam in ("B", "D", "I2", "GD1N", "GEEN"):
+            car = _carrier_monomial(self.spec)
+        else:
+            car = _carrier_root(fam)
+        if len(car.refl_perms) != self.num_reflections:
+            raise AssertionError(
+                f"{self.name}: built {len(car.refl_perms)} "
+                f"reflections, degrees say {self.num_reflections}")
+        if kernels.perm_order(car.coxeter, car.npoints) != self.h:
+            raise AssertionError(
+                f"{self.name}: Coxeter element order is not h={self.h}")
+        if car.codim(car.coxeter) != self.rank:
+            raise AssertionError(
+                f"{self.name}: Coxeter element has a fixed vector")
+        self._carrier = car
+        return car
 
     @property
     def carrier(self) -> _Carrier:
@@ -287,20 +265,17 @@ class Group:
 
     def length_table(self) -> Dict[bytes, int]:
         """Reflection length of every element, keyed by permutation."""
-        table = self._lengths
-        if table is not None:
-            return table
+        if self._lengths is not None:
+            return self._lengths
         self.check_enumeration_budget()
         car = self._ensure()
-        with self._lock:
-            if self._lengths is None:
-                table = kernels.bfs_lengths(car.refl_perms, car.npoints)
-                if len(table) != self.order:
-                    raise AssertionError(
-                        f"{self.name}: generated {len(table)} elements, "
-                        f"degrees say {self.order}")
-                self._lengths = table
-            return self._lengths
+        table = kernels.bfs_lengths(car.refl_perms, car.npoints)
+        if len(table) != self.order:
+            raise AssertionError(
+                f"{self.name}: generated {len(table)} elements, "
+                f"degrees say {self.order}")
+        self._lengths = table
+        return table
 
     def elements(self) -> Iterator[Element]:
         """All elements in deterministic BFS-by-length order."""
@@ -364,11 +339,11 @@ class Group:
         # them generate it: an atom becomes a generator only when the
         # closure so far misses it.
         gens: List[bytes] = []
-        seen = {kernels.identity(np_)}
+        seen = {kernels.identity(np_): 0}
         for a in atoms:
             if a not in seen:
                 gens.append(a)
-                seen = _closure(gens, np_)
+                seen = kernels.bfs_lengths(gens, np_)
         # Count reflections of the closure, not just the atoms: e.g. the
         # Z3 x A1 parabolic of G(3,1,3) has 3 reflections but only 2 atoms.
         refls = [x for x in seen if x in car.refl_set]

@@ -7,13 +7,19 @@ the only one that knows the format, and `pack`/`unpack` convert between it
 and a sequence of images.  compose(a, b) returns the permutation
 x -> a[b[x]], i.e. apply b first; this matches the convention
 (v*w)(x) = v(w(x)) used for group products throughout.
+
+Every closure in the package (roots, W, conjugacy orbits, NC(W, c) below c,
+parabolic subgroups, Hurwitz orbits) is one call to `bfs`.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Dict, List, Sequence
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence)
+
+from ncfact.errors import BudgetExceeded
 
 BACKEND = "pure"
 
@@ -72,51 +78,55 @@ def perm_order(a: bytes, npoints: int) -> int:
     return k
 
 
+def bfs(seeds: Iterable[Hashable], step: Callable[[Hashable], Iterable],
+        cap: Optional[int] = None) -> Dict[Hashable, int]:
+    """Every node reachable from seeds along step, with its distance.
+
+    Seeds get distance 0.  Insertion order of the returned dict is the
+    discovery order: seeds first, then level by level, each node's
+    successors in the order step yields them.  Raises BudgetExceeded when
+    the dict would grow past cap nodes.
+    """
+    dist: Dict[Hashable, int] = dict.fromkeys(seeds, 0)
+    if cap is not None and len(dist) > cap:
+        raise BudgetExceeded(f"{len(dist)} seeds exceed cap {cap}")
+    frontier = list(dist)
+    d = 0
+    while frontier:
+        d += 1
+        nxt: List[Hashable] = []
+        for x in frontier:
+            for y in step(x):
+                if y not in dist:
+                    if cap is not None and len(dist) >= cap:
+                        raise BudgetExceeded(f"closure exceeds cap {cap}")
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
 def bfs_lengths(gens: Sequence[bytes], npoints: int) -> Dict[bytes, int]:
     """Word length over gens for every element they generate.
 
-    Valid as a length function only when the generator set is closed under
-    inversion (true for reflection sets).  Insertion order of the returned
-    dict is the deterministic BFS discovery order.
+    The key set is the generated subgroup for any gens; the values are a
+    length function only when gens is closed under inversion (true for
+    reflection sets).  Insertion order is the BFS discovery order.
     """
-    ident = identity(npoints)
-    wide = npoints > 256
-    lengths: Dict[bytes, int] = {ident: 0}
-    frontier: List[bytes] = [ident]
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt: List[bytes] = []
-        for w in frontier:
-            if wide:
-                products = [compose(w, g, npoints) for g in gens]
-            else:
-                # compose(w, g) is g.translate over w's padded table
-                tw = w + _PAD[len(w):]
-                products = [g.translate(tw) for g in gens]
-            for x in products:
-                if x not in lengths:
-                    lengths[x] = dist
-                    nxt.append(x)
-        frontier = nxt
-    return lengths
+    def step(w: bytes) -> List[bytes]:
+        if npoints > 256:
+            return [compose(w, g, npoints) for g in gens]
+        tw = w + _PAD[len(w):]  # compose(w, g) is g.translate(tw)
+        return [g.translate(tw) for g in gens]
+
+    return bfs([identity(npoints)], step)
 
 
 def conj_orbit(seed: bytes, gens: Sequence[bytes], npoints: int) -> List[bytes]:
     """Closure of seed under conjugation by gens, in BFS discovery order."""
-    invs = [inverse(g, npoints) for g in gens]
-    seen = {seed: None}
-    frontier = [seed]
-    while frontier:
-        nxt: List[bytes] = []
-        for x in frontier:
-            for g, ginv in zip(gens, invs):
-                y = compose(compose(g, x, npoints), ginv, npoints)
-                if y not in seen:
-                    seen[y] = None
-                    nxt.append(y)
-        frontier = nxt
-    return list(seen)
+    pairs = [(g, inverse(g, npoints)) for g in gens]
+    return list(bfs([seed], lambda x: [
+        compose(compose(g, x, npoints), ginv, npoints) for g, ginv in pairs]))
 
 
 def leq_rows(perms: Sequence[bytes], ranks: Sequence[int],

@@ -5,15 +5,16 @@ Elements are sorted by (rank, permutation bytes), so index 0 is the identity
 and the last index is the Coxeter element.  The poset is found by walking
 down from c along covers, and the order relation, stored as per-element bit
 rows of up-sets, is the closure of those covers.  Class ids are computed
-only for the elements they are asked for.  Multichain and chain counting
-reduce to transfer sums over predecessor lists.
+only for the elements they are asked for.  `preds_by_jump` is the one
+predecessor structure, and multichain and chain counting are repeated
+`transfer` steps over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ncfact import kernels
 from ncfact.errors import NonIntegerResult, NotInNC, RankTooSmall
@@ -44,25 +45,21 @@ class NcPoset:
         if table[car.coxeter] != n:
             raise AssertionError(f"{group.name}: Coxeter element has length "
                                  f"{table[car.coxeter]}, expected rank {n}")
-        # [1, c] is graded and downward closed, so walking down from c by
-        # covers reaches all of it.  The lower covers of v are the v*t
-        # (t in T) one shorter: u <= v with l(u) = l(v) - 1 means u^-1 v is
-        # a reflection, and T is closed under inversion.
+        # [1, c] is graded and downward closed, so the walk down from c by
+        # covers reaches all of it, and rank is n minus distance.  The lower
+        # covers of v are the v*t (t in T) one shorter: u <= v one shorter
+        # means u^-1 v is a reflection, and T is closed under inversion.
         lower: Dict[bytes, List[bytes]] = {}
-        frontier = [car.coxeter]
-        for rank in range(n, 0, -1):
-            nxt: List[bytes] = []
-            for v in frontier:
-                below = [x for x in (kernels.compose(v, t, npts)
-                                     for t in car.refl_perms)
-                         if table[x] == rank - 1]
-                lower[v] = below
-                for x in below:
-                    if x not in lower:
-                        lower[x] = []
-                        nxt.append(x)
-            frontier = nxt
-        members = sorted((table[p], p) for p in lower)
+
+        def step(v: bytes) -> List[bytes]:
+            below = table[v] - 1
+            lower[v] = [x for x in (kernels.compose(v, t, npts)
+                                    for t in car.refl_perms)
+                        if table[x] == below]
+            return lower[v]
+
+        dist = kernels.bfs([car.coxeter], step)
+        members = sorted((n - d, p) for p, d in dist.items())
         self.group = group
         self.perms: Tuple[bytes, ...] = tuple(p for _, p in members)
         self.ranks: Tuple[int, ...] = tuple(r for r, _ in members)
@@ -80,23 +77,19 @@ class NcPoset:
                 rows[self.index[x]] |= rows[j]
         self.leq_rows: Tuple[int, ...] = tuple(rows)
         self._class_ids: Dict[int, ClassId] = {}
-        # preds by exact rank jump; preds_all includes the diagonal
+        # preds_by_jump[k][j]: the i <= j with rank jump k, by increasing
+        # index; jump 0 is the diagonal
         preds: List[List[List[int]]] = [
             [[] for _ in range(self.size)] for _ in range(n + 1)]
-        preds_all: List[List[int]] = [[] for _ in range(self.size)]
         for i, row in enumerate(rows):
             ri = self.ranks[i]
             while row:
                 bit = row & -row
                 row ^= bit
                 j = bit.bit_length() - 1
-                preds_all[j].append(i)
-                if i != j:
-                    preds[self.ranks[j] - ri][j].append(i)
+                preds[self.ranks[j] - ri][j].append(i)
         self.preds_by_jump: Tuple[Tuple[Tuple[int, ...], ...], ...] = tuple(
             tuple(tuple(lst) for lst in level) for level in preds)
-        self.preds_all: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(lst) for lst in preds_all)
 
     def __repr__(self) -> str:
         return f"NcPoset({self.group.name}, size={self.size})"
@@ -143,14 +136,22 @@ def fuss_catalan(spec: GroupSpec, p: int) -> int:
     return value.numerator
 
 
+def transfer(nc: NcPoset, vec: Sequence[int],
+             jumps: Iterable[int]) -> List[int]:
+    """One transfer step: out[j] sums vec[i] over the i <= j whose rank
+    jump to j is in jumps."""
+    levels = [nc.preds_by_jump[k] for k in jumps]
+    return [sum([vec[i] for level in levels for i in level[j]])
+            for j in range(nc.size)]
+
+
 def count_multichains(nc: NcPoset, p: int) -> int:
     """Number of multichains w_1 =< ... =< w_p in NC; p = 1 gives |NC|."""
     if p < 1:
         raise ValueError("p must be >= 1")
     counts = [1] * nc.size
     for _ in range(p - 1):
-        counts = [sum(counts[i] for i in nc.preds_all[j])
-                  for j in range(nc.size)]
+        counts = transfer(nc, counts, range(nc.group.rank + 1))
     return sum(counts)
 
 

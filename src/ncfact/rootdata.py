@@ -95,17 +95,10 @@ def build_root_system(name: str) -> RootSystem:
     simples = _units(rank)
     simple_forms = [_form(gram, s) for s in simples]
 
-    roots = set(simples) | {tuple(-x for x in v) for v in simples}
-    frontier = list(roots)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for form, s in zip(simple_forms, simples):
-                y = _reflect(form, s, x)
-                if y not in roots:
-                    roots.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    roots = kernels.bfs(
+        [*simples, *(tuple(-x for x in v) for v in simples)],
+        lambda x: [_reflect(form, s, x)
+                   for form, s in zip(simple_forms, simples)])
     root_list = tuple(sorted(roots))
     if len(root_list) != data["num_roots"]:
         raise AssertionError(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -177,12 +178,12 @@ def test_determinism_and_cache(capsys, tmp_path):
     assert cache.exists()
     stored = json.loads(cache.read_text())
     assert len(stored) == 1
-    # corrupt cache must be ignored, then rewritten
+    # corrupt cache must be ignored, and left as it is
     cache.write_text("{ not json")
     code, out, _ = run_cli(capsys, "verify", "A4", "--format", "json",
                            "--cache", str(cache))
     assert code == 0 and out == outputs[0]
-    assert json.loads(cache.read_text())
+    assert cache.read_text() == "{ not json"
 
 
 def test_cache_key_distinguishes_params(capsys, tmp_path):
@@ -209,6 +210,47 @@ def test_cache_entry_from_other_sources_is_recomputed(capsys, tmp_path):
     code, out, _ = run_cli(capsys, *argv, "--cache", str(cache))
     assert code == 0 and out == fresh
     assert json.loads(cache.read_text())[key] == payload
+
+
+def test_corrupt_cache_is_left_unchanged(capsys, tmp_path):
+    argv = ("count", "A3", "red", "--format", "json")
+    _, fresh, _ = run_cli(capsys, *argv)
+    cache = tmp_path / "cache.json"
+    for junk in (b"{ not json", b"[1, 2]", b"\xff\xfe"):
+        cache.write_bytes(junk)
+        code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+        assert code == 0 and out == fresh
+        assert "not a readable cache" in err
+        assert cache.read_bytes() == junk
+
+
+def test_concurrent_runs_keep_every_entry(tmp_path):
+    # each run takes long enough that, without the lock, several would read
+    # the empty cache before any stores
+    cache = tmp_path / "cache.json"
+    groups = ["A4", "B4", "D4", "H3"]
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "ncfact.cli", "verify", group,
+         "--format", "json", "--cache", str(cache)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        for group in groups]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    keys = json.loads(cache.read_text())
+    assert sorted(key.split("|")[3] for key in keys) == groups
+
+
+def test_large_rank_prints_exact_decimals(capsys):
+    code, out, _ = run_cli(capsys, "info", "A3000", "--format", "json")
+    assert code == 0
+    checks = {c["name"]: c["actual"] for c in json.loads(out)["checks"]}
+    assert checks["order"] == str(math.factorial(3001))
+    proc = subprocess.run([sys.executable, "-m", "ncfact.cli", "verify",
+                           "A3000"], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "budget exceeded" in proc.stderr
 
 
 def test_console_script_installed():

@@ -165,8 +165,13 @@ def test_hurwitz_move_braid_relations(group_of, nc_of):
         lhs = hurwitz_move(g, hurwitz_move(g, hurwitz_move(g, fact, 1), 2), 1)
         rhs = hurwitz_move(g, hurwitz_move(g, hurwitz_move(g, fact, 2), 1), 2)
         assert lhs == rhs
+    fact = enumerate_reduced(nc_of("B3"))[0]
     with pytest.raises(IndexOutOfRange):
-        hurwitz_move(g, enumerate_reduced(nc_of("B3"))[0], 3)
+        hurwitz_move(g, fact, 3)
+    with pytest.raises(ValueError):
+        hurwitz_move(g, fact, 1, direction=0)
+    with pytest.raises(ValueError):  # factors of another group
+        hurwitz_move(group_of("A3"), fact, 1)
 
 
 def test_hurwitz_orbit_a2_by_hand(group_of, nc_of):

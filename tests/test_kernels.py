@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ncfact import kernels
+from ncfact.errors import BudgetExceeded
 
 
 @pytest.fixture(params=[kernels], ids=[kernels.BACKEND])
@@ -103,6 +104,27 @@ def test_bfs_lengths_vs_brute(k):
     # absolute length of a permutation: n minus number of cycles
     assert lengths[_perm([1, 2, 3, 0], 4)] == 3
     assert lengths[_perm([1, 0, 3, 2], 4)] == 2
+
+
+# x is reachable from no seed; c and d are each reached along two edges
+_GRAPH = {"a": ["b", "c"], "b": ["d"], "c": ["d", "e"], "d": ["a"], "e": [],
+          "f": ["c", "g"], "g": ["h"], "h": [], "x": ["a"]}
+
+
+def test_bfs(k):
+    dist = k.bfs(["a", "f"], _GRAPH.__getitem__)
+    assert list(dist.items()) == [("a", 0), ("f", 0), ("b", 1), ("c", 1),
+                                  ("g", 1), ("d", 2), ("e", 2), ("h", 2)]
+    # a seed that is also reachable from another seed keeps distance 0
+    dist = k.bfs(["a", "d"], _GRAPH.__getitem__)
+    assert dist == {"a": 0, "d": 0, "b": 1, "c": 1, "e": 2}
+    # cap=k raises exactly when the closure has more than k nodes
+    for cap in range(12):
+        if cap < 8:
+            with pytest.raises(BudgetExceeded):
+                k.bfs(["a", "f"], _GRAPH.__getitem__, cap=cap)
+        else:
+            assert len(k.bfs(["a", "f"], _GRAPH.__getitem__, cap=cap)) == 8
 
 
 def _naive_bfs(k, gens, npoints):

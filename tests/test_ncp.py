@@ -140,8 +140,8 @@ ORACLE_GROUPS = (
 def _old_route(group):
     """NC as built before the walk down from c: membership by
     l(w) + l(w^-1 c) = n over the whole length table, all-pairs
-    kernels.leq_rows, predecessor lists from every bit, and class ids from
-    a conjugation orbit per element."""
+    kernels.leq_rows, predecessor lists from every bit (i = j at jump 0),
+    and class ids from a conjugation orbit per element."""
     table = group.length_table()
     car = group.carrier
     npts, n = car.npoints, group.rank
@@ -159,8 +159,7 @@ def _old_route(group):
         for j in range(size):
             if rows[i] >> j & 1:
                 preds_all[j].append(i)
-                if i != j:
-                    preds[ranks[j] - ranks[i]][j].append(i)
+                preds[ranks[j] - ranks[i]][j].append(i)
     class_ids = [
         Element(group.name, min(kernels.conj_orbit(p, car.refl_perms, npts)))
         .serialize() if r == 2 else None
@@ -177,7 +176,8 @@ def test_poset_matches_old_route(nc_of, name):
     assert list(nc.leq_rows) == rows
     assert [[list(lst) for lst in level] for level in nc.preds_by_jump] \
         == preds
-    assert [list(lst) for lst in nc.preds_all] == preds_all
+    assert [sorted(i for level in nc.preds_by_jump for i in level[j])
+            for j in range(nc.size)] == preds_all
     assert [nc.class_id(i) if r == 2 else None
             for i, r in enumerate(nc.ranks)] == class_ids
 

@@ -1,4 +1,5 @@
-"""Randomized invariants: length axioms, NC geometry, Hurwitz moves.
+"""Randomized invariants: length axioms, NC geometry, Hurwitz moves, and
+CLI exit codes under fuzzed argv.
 
 Exhaustive where the group is small; seeded sampling or hypothesis where
 the state space is too large to sweep.
@@ -10,6 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncfact.cli import main
 from ncfact.facto import (count_fact_by_composition, enumerate_reduced,
                           hurwitz_move)
 
@@ -134,3 +136,60 @@ def test_multiplication_length_subadditive_hyp(group_of, i, j):
     u, v = elems[i % len(elems)], elems[j % len(elems)]
     assert (g.reflection_length(g.multiply(u, v))
             <= g.reflection_length(u) + g.reflection_length(v))
+
+
+# group strings in the grammar's shape, with numbers of at most 4 digits;
+# small numbers are drawn as often as large ones so that some groups are
+# small enough to enumerate
+_NUM = st.one_of(st.integers(0, 12), st.integers(0, 9999)).map(str)
+
+
+def _junk(max_size):
+    # argparse accepts "--c" for --cache; no example may write a cache
+    return st.text(max_size=max_size).filter(
+        lambda t: not t.startswith("--c"))
+
+
+_GROUP = st.one_of(
+    st.builds(lambda f, n: f + n, st.sampled_from("ABDabd"), _NUM),
+    st.builds(lambda e: f"I2({e})", _NUM),
+    st.builds(lambda d, b, n: f"G({d},{b},{n})", _NUM,
+              st.one_of(st.just("1"), _NUM), _NUM),
+    st.builds(lambda e, n: f"G({e},{e},{n})", _NUM, _NUM),
+    st.sampled_from(("H3", "H4", "F4", "E6", "E7", "E8", "h3", "GEEN",
+                     "GD1N", "G24", "B", "I2")),
+    _junk(12),
+)
+_KIND_ARG = st.one_of(
+    st.tuples(st.sampled_from(("red", "by-class"))),
+    st.tuples(st.just("fact-k"), _NUM),
+    st.tuples(st.just("composition"),
+              st.lists(st.integers(0, 9), min_size=1, max_size=5).map(
+                  lambda parts: ",".join(map(str, parts)))),
+    st.tuples(st.sampled_from(("fact-k", "composition"))),
+    st.tuples(_junk(8)),
+)
+_FLAGS = st.lists(st.one_of(
+    st.tuples(st.just("--format"),
+              st.sampled_from(("md", "json", "csv", "xml"))),
+    st.tuples(st.just("--p-max"), st.integers(-1, 5).map(str)),
+    st.tuples(st.just("--no-cache")),
+    st.tuples(_junk(6)),
+), max_size=3)
+
+
+# Every enumerating run gets --budget 256: the budget caps |W|, not the
+# work, and groups over 256 points take the slow 2-byte compose path
+# (verify I2(300) --budget 5000 runs for about 20 s).
+@settings(deadline=None, max_examples=60)
+@given(command=st.sampled_from(("info", "verify", "count", "table")),
+       group=_GROUP, kind_arg=_KIND_ARG, flags=_FLAGS)
+def test_cli_fuzz_exit_codes(command, group, kind_arg, flags):
+    argv = [command, group]
+    if command == "count":
+        argv += list(kind_arg)
+    for flag in flags:
+        argv += list(flag)
+    if command != "info":
+        argv += ["--budget", "256"]
+    assert main(argv) in (0, 1, 2, 3)

@@ -115,7 +115,7 @@ def r_lambda(g: Group, w: Element) -> int:
     car = g.carrier
     perm = w.perm
     return sum(1 for s in car.refl_perms
-               if kernels.compose(s, perm, car.npoints) in car.refl_set)
+               if kernels.compose(s, perm) in car.refl_set)
 
 
 def derived_degree(g: Group, count: int) -> int:
@@ -150,14 +150,18 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     for j in range(size - 1, 0, -1):
         for i in covers[j]:
             backward[i] += backward[j]
-    npts = g.npoints
-    per_class: Dict[ClassId, int] = {}
+    # sum per quotient first, so each class id is asked for once per
+    # rank-2 element rather than once per pair
+    per_quot: Dict[int, int] = {}
     for j in range(size):
         for i in nc.preds_by_jump[2][j]:
-            quot = kernels.compose(
-                kernels.inverse(nc.perms[i], npts), nc.perms[j], npts)
-            cid = nc.class_id(nc.index[quot])
-            per_class[cid] = per_class.get(cid, 0) + forward[i] * backward[j]
+            q = nc.index[kernels.compose(kernels.inverse(nc.perms[i]),
+                                         nc.perms[j])]
+            per_quot[q] = per_quot.get(q, 0) + forward[i] * backward[j]
+    per_class: Dict[ClassId, int] = {}
+    for q, count in per_quot.items():
+        cid = nc.class_id(q)
+        per_class[cid] = per_class.get(cid, 0) + count
     rows = []
     for cls in strata_codim2(nc):
         count = per_class.pop(cls.class_id)
@@ -171,14 +175,11 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     return rows
 
 
-def _braid(a: bytes, b: bytes, direction: int,
-           npts: int) -> Tuple[bytes, bytes]:
+def _braid(a: bytes, b: bytes, direction: int) -> Tuple[bytes, bytes]:
     """(a, b) -> (aba^-1, a) for direction 1, (b, b^-1 ab) for -1."""
     if direction == 1:
-        return (kernels.compose(kernels.compose(a, b, npts),
-                                kernels.inverse(a, npts), npts), a)
-    return (b, kernels.compose(kernels.compose(
-        kernels.inverse(b, npts), a, npts), b, npts))
+        return (kernels.compose(kernels.compose(a, b), kernels.inverse(a)), a)
+    return (b, kernels.compose(kernels.compose(kernels.inverse(b), a), b))
 
 
 def hurwitz_move(g: Group, f: Factorization, i: int,
@@ -191,18 +192,16 @@ def hurwitz_move(g: Group, f: Factorization, i: int,
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     a, b = (g._own(x) for x in f.factors[i - 1:i + 1])
-    moved = tuple(Element(g.name, q)
-                  for q in _braid(a, b, direction, g.npoints))
+    moved = tuple(Element(g.name, q) for q in _braid(a, b, direction))
     return Factorization(f.factors[:i - 1] + moved + f.factors[i + 1:])
 
 
 def hurwitz_orbit(g: Group, f: Factorization,
                   cap: Optional[int] = None) -> List[Factorization]:
     """Orbit of f under all braid moves, BFS order; BudgetExceeded past cap."""
-    npts = g.npoints
     orbit = kernels.bfs(
         [tuple(x.perm for x in f.factors)],
-        lambda state: [state[:i] + _braid(state[i], state[i + 1], d, npts)
+        lambda state: [state[:i] + _braid(state[i], state[i + 1], d)
                        + state[i + 2:]
                        for i in range(len(state) - 1) for d in (1, -1)],
         cap)
@@ -219,7 +218,6 @@ def enumerate_by_composition(nc: NcPoset, comp: Sequence[int],
         if total > cap:
             raise BudgetExceeded(f"{total} factorizations exceed cap {cap}")
     g = nc.group
-    npts = g.npoints
     out: List[Factorization] = []
     factors: List[Element] = []
 
@@ -230,8 +228,7 @@ def enumerate_by_composition(nc: NcPoset, comp: Sequence[int],
             out.append(Factorization(tuple(reversed(factors))))
             return
         for i in nc.preds_by_jump[parts[t - 1]][j]:
-            quot = kernels.compose(
-                kernels.inverse(nc.perms[i], npts), nc.perms[j], npts)
+            quot = kernels.compose(kernels.inverse(nc.perms[i]), nc.perms[j])
             factors.append(Element(g.name, quot))
             walk(i, t - 1)
             factors.pop()
@@ -246,16 +243,15 @@ def enumerate_reduced(nc: NcPoset,
     return enumerate_by_composition(nc, (1,) * nc.group.rank, cap=cap)
 
 
-def concatenation_fibers(nc: NcPoset,
-                         cap: Optional[int] = None
+def concatenation_fibers(g: Group, reduced: Iterable[Factorization]
                          ) -> Dict[Factorization, int]:
     """Fiber sizes of Red(c) -> fact(2,1,...,1), merging the first two
-    reflections; keys are the image factorizations."""
-    if nc.group.rank < 2:
+    reflections of each factorization in reduced (Red(c), as
+    enumerate_reduced lists it); keys are the image factorizations."""
+    if g.rank < 2:
         raise RankTooSmall("concatenation needs rank >= 2")
-    g = nc.group
     fibers: Dict[Factorization, int] = {}
-    for f in enumerate_reduced(nc, cap=cap):
+    for f in reduced:
         merged = g.multiply(f.factors[0], f.factors[1])
         image = Factorization((merged,) + f.factors[2:])
         fibers[image] = fibers.get(image, 0) + 1

@@ -1,11 +1,14 @@
 """Well-generated reflection groups with exact element arithmetic.
 
 Every group acts faithfully on a finite point set and an element is the
-serialized permutation it induces: A(n) permutes n+1 points; the monomial
-families G(d,1,n)/G(e,e,n) permute n*d colored points (coordinate i, color k)
--> index i*d + k, where w(v_j) = zeta^{c_j} v_{sigma(j)} sends (j, k) to
-(sigma(j), k + c_j mod d); the exceptional types permute their root systems.
-Products follow (v*w)(x) = v(w(x)), so multiply(a, b) applies b first.
+serialized permutation it induces: the monomial families G(d,1,n)/G(e,e,n)
+permute n*d colored points (coordinate i, color k) -> index i*d + k, where
+w(v_j) = zeta^{c_j} v_{sigma(j)} sends (j, k) to (sigma(j), k + c_j mod d);
+A(n) = G(1,1,n+1) is the one-color case, permuting n+1 points; the
+exceptional types permute their root systems.  A permutation carries its
+own width, so nothing here passes a point count to `kernels` except
+`identity`.  Products follow (v*w)(x) = v(w(x)), so multiply(a, b) applies
+b first.
 
 Enumeration-scale work (length tables, conjugacy orbits) is budget-gated:
 with no explicit budget, groups over 10^7 elements and the E7/E8 families
@@ -14,6 +17,7 @@ raise BudgetExceeded; an explicit budget is compared against |W| only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -52,45 +56,19 @@ class _Carrier:
 
 
 def _carrier_a(n: int) -> _Carrier:
-    npts = n + 1
-    refls = []
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            img = list(range(npts))
-            img[i], img[j] = j, i
-            refls.append(kernels.pack(img, npts))
-    cox = kernels.pack([(i + 1) % npts for i in range(npts)], npts)
-
-    def codim(perm: bytes) -> int:
-        images = kernels.unpack(perm, npts)
-        seen = bytearray(npts)
-        cycles = 0
-        for start in range(npts):
-            if not seen[start]:
-                cycles += 1
-                x = start
-                while not seen[x]:
-                    seen[x] = 1
-                    x = images[x]
-        return npts - cycles
-
-    return _Carrier(npts, tuple(sorted(refls)), frozenset(refls), cox, codim)
+    return _carrier_monomial(1, n + 1, True)
 
 
-def _carrier_monomial(spec: GroupSpec) -> _Carrier:
-    d = spec.d
-    n = spec.n
-    npts = n * d
-    with_diagonal = spec.family in ("B", "GD1N")
-
+def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
+    """G(d,1,n) with the diagonal reflections, G(d,d,n) without them."""
     def mono(sigma: Sequence[int], colors: Sequence[int]) -> bytes:
-        img = [0] * npts
+        img = [0] * (n * d)
         for i in range(n):
             base = sigma[i] * d
             ci = colors[i]
             for k in range(d):
                 img[i * d + k] = base + (k + ci) % d
-        return kernels.pack(img, npts)
+        return kernels.pack(img)
 
     def transp(i: int, j: int, a: int) -> bytes:
         sigma = list(range(n))
@@ -120,12 +98,10 @@ def _carrier_monomial(spec: GroupSpec) -> _Carrier:
     else:
         parts = [transp(0, 1, 0), transp(0, 1, 1)]
         parts += [transp(k, k + 1, 0) for k in range(1, n - 1)]
-        cox = parts[0]
-        for p in parts[1:]:
-            cox = kernels.compose(cox, p, npts)
+        cox = functools.reduce(kernels.compose, parts)
 
     def codim(perm: bytes) -> int:
-        images = kernels.unpack(perm, npts)
+        images = kernels.unpack(perm)
         fixed = 0
         seen = bytearray(n)
         for start in range(n):
@@ -141,14 +117,12 @@ def _carrier_monomial(spec: GroupSpec) -> _Carrier:
                     fixed += 1
         return n - fixed
 
-    return _Carrier(npts, tuple(sorted(refls)), frozenset(refls), cox, codim)
+    return _Carrier(n * d, tuple(sorted(refls)), frozenset(refls), cox, codim)
 
 
 def _carrier_root(name: str) -> _Carrier:
     rs = build_root_system(name)
-    cox = kernels.identity(rs.npoints)
-    for p in rs.simple_perms:
-        cox = kernels.compose(cox, p, rs.npoints)
+    cox = functools.reduce(kernels.compose, rs.simple_perms)
     return _Carrier(rs.npoints, rs.reflection_perms,
                     frozenset(rs.reflection_perms), cox, rs.codim)
 
@@ -156,8 +130,8 @@ def _carrier_root(name: str) -> _Carrier:
 class Group:
     """A well-generated reflection group; immutable after construction.
 
-    Carriers (reflection permutations, Coxeter element) build lazily on first
-    access; length tables build lazily behind the enumeration budget.
+    The carrier (reflection permutations, Coxeter element) builds lazily on
+    first access; length tables build lazily behind the enumeration budget.
     """
 
     def __init__(self, spec: GroupSpec, budget: Optional[int] = None):
@@ -169,7 +143,6 @@ class Group:
         self.order = spec.order
         self.num_reflections = spec.num_reflections
         self.budget = budget
-        self._carrier: Optional[_Carrier] = None
         self._lengths: Optional[Dict[bytes, int]] = None
         self._class_ids: Dict[bytes, ClassId] = {}
         self._parabolics: Dict[bytes, Tuple[Tuple[int, int], bool]] = {}
@@ -179,49 +152,39 @@ class Group:
 
     # -- carrier and basic arithmetic ------------------------------------
 
-    def _ensure(self) -> _Carrier:
-        if self._carrier is not None:
-            return self._carrier
+    @functools.cached_property
+    def carrier(self) -> _Carrier:
         fam = self.spec.family
         if fam == "A":
             car = _carrier_a(self.spec.n)
         elif fam in ("B", "D", "I2", "GD1N", "GEEN"):
-            car = _carrier_monomial(self.spec)
+            car = _carrier_monomial(self.spec.d, self.spec.n,
+                                    fam in ("B", "GD1N"))
         else:
             car = _carrier_root(fam)
         if len(car.refl_perms) != self.num_reflections:
             raise AssertionError(
                 f"{self.name}: built {len(car.refl_perms)} "
                 f"reflections, degrees say {self.num_reflections}")
-        if kernels.perm_order(car.coxeter, car.npoints) != self.h:
+        if kernels.perm_order(car.coxeter) != self.h:
             raise AssertionError(
                 f"{self.name}: Coxeter element order is not h={self.h}")
         if car.codim(car.coxeter) != self.rank:
             raise AssertionError(
                 f"{self.name}: Coxeter element has a fixed vector")
-        self._carrier = car
         return car
 
     @property
-    def carrier(self) -> _Carrier:
-        return self._ensure()
-
-    @property
-    def npoints(self) -> int:
-        return self._ensure().npoints
-
-    @property
     def identity(self) -> Element:
-        return Element(self.name, kernels.identity(self._ensure().npoints))
+        return Element(self.name, kernels.identity(self.carrier.npoints))
 
     @property
     def reflections(self) -> Tuple[Element, ...]:
-        return tuple(Element(self.name, p)
-                     for p in self._ensure().refl_perms)
+        return tuple(Element(self.name, p) for p in self.carrier.refl_perms)
 
     @property
     def coxeter(self) -> Element:
-        return Element(self.name, self._ensure().coxeter)
+        return Element(self.name, self.carrier.coxeter)
 
     def _own(self, x: Element) -> bytes:
         if x.tag != self.name:
@@ -230,20 +193,14 @@ class Group:
 
     def multiply(self, a: Element, b: Element) -> Element:
         """Product a*b, i.e. apply b first."""
-        car = self._ensure()
-        return Element(self.name, kernels.compose(
-            self._own(a), self._own(b), car.npoints))
+        return Element(self.name,
+                       kernels.compose(self._own(a), self._own(b)))
 
     def inverse(self, a: Element) -> Element:
-        car = self._ensure()
-        return Element(self.name, kernels.inverse(self._own(a), car.npoints))
+        return Element(self.name, kernels.inverse(self._own(a)))
 
     def element_order(self, a: Element) -> int:
-        car = self._ensure()
-        return kernels.perm_order(self._own(a), car.npoints)
-
-    def is_reflection(self, a: Element) -> bool:
-        return self._own(a) in self._ensure().refl_set
+        return kernels.perm_order(self._own(a))
 
     # -- enumeration-scale structure --------------------------------------
 
@@ -268,8 +225,7 @@ class Group:
         if self._lengths is not None:
             return self._lengths
         self.check_enumeration_budget()
-        car = self._ensure()
-        table = kernels.bfs_lengths(car.refl_perms, car.npoints)
+        table = kernels.bfs_lengths(self.carrier.refl_perms)
         if len(table) != self.order:
             raise AssertionError(
                 f"{self.name}: generated {len(table)} elements, "
@@ -286,16 +242,13 @@ class Group:
         return self.length_table()[self._own(w)]
 
     def fixed_space_codim(self, w: Element) -> int:
-        car = self._ensure()
-        return car.codim(self._own(w))
+        return self.carrier.codim(self._own(w))
 
     def absolute_leq(self, u: Element, v: Element) -> bool:
         """u =< v in absolute order: l(u) + l(u^-1 v) = l(v)."""
         table = self.length_table()
-        car = self._ensure()
         up, vp = self._own(u), self._own(v)
-        quot = kernels.compose(kernels.inverse(up, car.npoints), vp,
-                               car.npoints)
+        quot = kernels.compose(kernels.inverse(up), vp)
         return table[up] + table[quot] == table[vp]
 
     def conjugacy_class_id(self, w: Element) -> ClassId:
@@ -305,8 +258,7 @@ class Group:
         if cached is not None:
             return cached
         self.check_enumeration_budget()
-        car = self._ensure()
-        orbit = kernels.conj_orbit(perm, car.refl_perms, car.npoints)
+        orbit = kernels.conj_orbit(perm, self.carrier.refl_perms)
         cid = Element(self.name, min(orbit)).serialize()
         for member in orbit:
             self._class_ids[member] = cid
@@ -330,20 +282,18 @@ class Group:
                                f"{self.reflection_length(w)}, need 2")
         if not self.absolute_leq(w, self.coxeter):
             raise NotInNC("element is not below the Coxeter element")
-        car = self._ensure()
-        np_ = car.npoints
+        car = self.carrier
         atoms = [r for r in car.refl_perms
-                 if kernels.compose(kernels.inverse(r, np_), perm, np_)
-                 in car.refl_set]
+                 if kernels.compose(kernels.inverse(r), perm) in car.refl_set]
         # A dihedral parabolic has as many atoms as reflections, yet two of
         # them generate it: an atom becomes a generator only when the
         # closure so far misses it.
         gens: List[bytes] = []
-        seen = {kernels.identity(np_): 0}
+        seen: Dict[bytes, int] = {}
         for a in atoms:
             if a not in seen:
                 gens.append(a)
-                seen = kernels.bfs_lengths(gens, np_)
+                seen = kernels.bfs_lengths(gens)
         # Count reflections of the closure, not just the atoms: e.g. the
         # Z3 x A1 parabolic of G(3,1,3) has 3 reflections but only 2 atoms.
         refls = [x for x in seen if x in car.refl_set]
@@ -360,7 +310,7 @@ class Group:
         if pair[0] * pair[1] != order:
             raise AssertionError(f"{self.name}: bad parabolic degrees {pair}")
         reducible = all(
-            kernels.compose(a, b, np_) == kernels.compose(b, a, np_)
+            kernels.compose(a, b) == kernels.compose(b, a)
             for k, a in enumerate(refls) for b in refls[k + 1:])
         self._parabolics[perm] = (pair, reducible)
         return pair

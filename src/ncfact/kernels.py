@@ -2,9 +2,12 @@
 
 A permutation on npoints points is bytes of length npoints (one byte per
 image) when npoints <= 256, else length 2*npoints (uint16 images, explicitly
-little-endian so serializations are platform-independent); this module is
-the only one that knows the format, and `pack`/`unpack` convert between it
-and a sequence of images.  compose(a, b) returns the permutation
+little-endian so serializations are platform-independent).  A 1-byte
+permutation is at most 256 bytes long and a 2-byte one at least 514, so a
+permutation carries its own width: every kernel reads it from its input,
+and only `identity` is told how many points to use.  This module is the
+only one that knows the format; `pack`/`unpack` convert between it and a
+sequence of images.  compose(a, b) returns the permutation
 x -> a[b[x]], i.e. apply b first; this matches the convention
 (v*w)(x) = v(w(x)) used for group products throughout.
 
@@ -24,9 +27,9 @@ from ncfact.errors import BudgetExceeded
 BACKEND = "pure"
 
 
-def pack(images: Sequence[int], npoints: int) -> bytes:
+def pack(images: Sequence[int]) -> bytes:
     """The permutation x -> images[x], serialized."""
-    if npoints <= 256:
+    if len(images) <= 256:
         return bytes(images)
     arr = array("H", images)
     if sys.byteorder == "big":
@@ -34,9 +37,9 @@ def pack(images: Sequence[int], npoints: int) -> bytes:
     return arr.tobytes()
 
 
-def unpack(perm: bytes, npoints: int) -> Sequence[int]:
+def unpack(perm: bytes) -> Sequence[int]:
     """The images of a serialized permutation, indexable by point."""
-    if npoints <= 256:
+    if len(perm) <= 256:
         return perm
     arr = array("H")
     arr.frombytes(perm)
@@ -46,34 +49,35 @@ def unpack(perm: bytes, npoints: int) -> Sequence[int]:
 
 
 def identity(npoints: int) -> bytes:
-    return pack(range(npoints), npoints)
+    return pack(range(npoints))
 
 
 _PAD = bytes(range(256))
 
 
-def compose(a: bytes, b: bytes, npoints: int) -> bytes:
+def compose(a: bytes, b: bytes) -> bytes:
     """Product a*b under 'apply b, then a'."""
-    if npoints <= 256:
+    if len(b) <= 256:
         # translate wants a 256-byte table; the padded tail is never hit
         return b.translate(a + _PAD[len(a):])
-    aa, bb = unpack(a, npoints), unpack(b, npoints)
-    return pack([aa[x] for x in bb], npoints)
+    aa, bb = unpack(a), unpack(b)
+    return pack([aa[x] for x in bb])
 
 
-def inverse(a: bytes, npoints: int) -> bytes:
-    out = [0] * npoints
-    for i, img in enumerate(unpack(a, npoints)):
+def inverse(a: bytes) -> bytes:
+    images = unpack(a)
+    out = [0] * len(images)
+    for i, img in enumerate(images):
         out[img] = i
-    return pack(out, npoints)
+    return pack(out)
 
 
-def perm_order(a: bytes, npoints: int) -> int:
-    ident = identity(npoints)
+def perm_order(a: bytes) -> int:
+    ident = identity(len(unpack(a)))
     k = 1
     cur = a
     while cur != ident:
-        cur = compose(cur, a, npoints)
+        cur = compose(cur, a)
         k += 1
     return k
 
@@ -106,38 +110,39 @@ def bfs(seeds: Iterable[Hashable], step: Callable[[Hashable], Iterable],
     return dist
 
 
-def bfs_lengths(gens: Sequence[bytes], npoints: int) -> Dict[bytes, int]:
+def bfs_lengths(gens: Sequence[bytes]) -> Dict[bytes, int]:
     """Word length over gens for every element they generate.
 
-    The key set is the generated subgroup for any gens; the values are a
-    length function only when gens is closed under inversion (true for
-    reflection sets).  Insertion order is the BFS discovery order.
+    gens must be non-empty.  The key set is the generated subgroup for any
+    gens; the values are a length function only when gens is closed under
+    inversion (true for reflection sets).  Insertion order is the BFS
+    discovery order.
     """
     def step(w: bytes) -> List[bytes]:
-        if npoints > 256:
-            return [compose(w, g, npoints) for g in gens]
+        if len(w) > 256:
+            return [compose(w, g) for g in gens]
         tw = w + _PAD[len(w):]  # compose(w, g) is g.translate(tw)
         return [g.translate(tw) for g in gens]
 
-    return bfs([identity(npoints)], step)
+    return bfs([identity(len(unpack(gens[0])))], step)
 
 
-def conj_orbit(seed: bytes, gens: Sequence[bytes], npoints: int) -> List[bytes]:
+def conj_orbit(seed: bytes, gens: Sequence[bytes]) -> List[bytes]:
     """Closure of seed under conjugation by gens, in BFS discovery order."""
-    pairs = [(g, inverse(g, npoints)) for g in gens]
+    pairs = [(g, inverse(g)) for g in gens]
     return list(bfs([seed], lambda x: [
-        compose(compose(g, x, npoints), ginv, npoints) for g, ginv in pairs]))
+        compose(compose(g, x), ginv) for g, ginv in pairs]))
 
 
 def leq_rows(perms: Sequence[bytes], ranks: Sequence[int],
-             lengths: Dict[bytes, int], npoints: int) -> List[int]:
+             lengths: Dict[bytes, int]) -> List[int]:
     """Bit rows of the absolute order: bit j of row i set iff e_i =< e_j.
 
     e_i =< e_j iff l(e_i) + l(e_i^-1 e_j) = l(e_j); only rank_i < rank_j
     pairs can be related, plus the diagonal.
     """
     k = len(perms)
-    invs = [inverse(p, npoints) for p in perms]
+    invs = [inverse(p) for p in perms]
     rows = [0] * k
     for i in range(k):
         row = 1 << i
@@ -145,7 +150,7 @@ def leq_rows(perms: Sequence[bytes], ranks: Sequence[int],
         inv_i = invs[i]
         for j in range(k):
             if ranks[j] > ri:
-                if lengths[compose(inv_i, perms[j], npoints)] == ranks[j] - ri:
+                if lengths[compose(inv_i, perms[j])] == ranks[j] - ri:
                     row |= 1 << j
         rows[i] = row
     return rows

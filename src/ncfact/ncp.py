@@ -5,9 +5,9 @@ Elements are sorted by (rank, permutation bytes), so index 0 is the identity
 and the last index is the Coxeter element.  The poset is found by walking
 down from c along covers, and the order relation, stored as per-element bit
 rows of up-sets, is the closure of those covers.  Class ids are computed
-only for the elements they are asked for.  `preds_by_jump` is the one
-predecessor structure, and multichain and chain counting are repeated
-`transfer` steps over it.
+only for the elements they are asked for, and the group memoises them.
+`preds_by_jump` is the one predecessor structure, and multichain and chain
+counting are repeated `transfer` steps over it.
 """
 
 from __future__ import annotations
@@ -33,14 +33,11 @@ class NcClass:
 
 
 class NcPoset:
-    """Materialized NC(W, c); immutable after construction, apart from the
-    memo of class ids asked for so far."""
+    """Materialized NC(W, c); immutable after construction."""
 
     def __init__(self, group: Group):
-        group.check_enumeration_budget()
         table = group.length_table()
         car = group.carrier
-        npts = car.npoints
         n = group.rank
         if table[car.coxeter] != n:
             raise AssertionError(f"{group.name}: Coxeter element has length "
@@ -53,7 +50,7 @@ class NcPoset:
 
         def step(v: bytes) -> List[bytes]:
             below = table[v] - 1
-            lower[v] = [x for x in (kernels.compose(v, t, npts)
+            lower[v] = [x for x in (kernels.compose(v, t)
                                     for t in car.refl_perms)
                         if table[x] == below]
             return lower[v]
@@ -76,7 +73,6 @@ class NcPoset:
             for x in lower[self.perms[j]]:
                 rows[self.index[x]] |= rows[j]
         self.leq_rows: Tuple[int, ...] = tuple(rows)
-        self._class_ids: Dict[int, ClassId] = {}
         # preds_by_jump[k][j]: the i <= j with rank jump k, by increasing
         # index; jump 0 is the diagonal
         preds: List[List[List[int]]] = [
@@ -105,11 +101,7 @@ class NcPoset:
 
     def class_id(self, i: int) -> ClassId:
         """Conjugacy class id of element i, computed on first request."""
-        cid = self._class_ids.get(i)
-        if cid is None:
-            cid = self.group.conjugacy_class_id(self.elements[i])
-            self._class_ids[i] = cid
-        return cid
+        return self.group.conjugacy_class_id(self.elements[i])
 
     def class_of(self, x: Element) -> ClassId:
         return self.class_id(self.index_of(x))

@@ -42,8 +42,9 @@ class RootSystem:
         Row j is (M - I) applied to the j-th simple root; the rank of the
         transpose is the same.
         """
+        images = kernels.unpack(perm)
         return matrix_rank([
-            [y - x for x, y in zip(e, self.roots[perm[self.index[e]]])]
+            [y - x for x, y in zip(e, self.roots[images[self.index[e]]])]
             for e in _units(self.rank)])
 
 
@@ -110,7 +111,7 @@ def build_root_system(name: str) -> RootSystem:
     def refl_perm(beta: Vector) -> bytes:
         form = _form(gram, beta)
         return kernels.pack([index[_reflect(form, beta, r)]
-                             for r in root_list], npoints)
+                             for r in root_list])
 
     # negation reverses the (a, b)-lexicographic order, so root i and root
     # npoints-1-i are a +/- pair with one reflection: the first half suffices
@@ -124,6 +125,6 @@ def build_root_system(name: str) -> RootSystem:
                     index=index, reflection_perms=tuple(perms),
                     simple_perms=simple_perms)
     for p in simple_perms:
-        if kernels.compose(p, p, npoints) != kernels.identity(npoints):
+        if kernels.compose(p, p) != kernels.identity(npoints):
             raise AssertionError(f"{name}: simple reflection not an involution")
     return rs

@@ -49,7 +49,7 @@ from .facto import (LLRow, concatenation_fibers, count_fact_k, count_reduced,
                     submaximal_by_class)
 from .families import GroupSpec
 from .groups import Group, build_group
-from .ncp import build_nc, count_multichains, fuss_catalan
+from .ncp import build_nc, fuss_catalan, transfer
 
 # Exhaustive checks (explicit reduced tuples, fibers, Hurwitz orbits) are
 # gated on |Red(c)|; above this they are skipped, the identities having
@@ -176,9 +176,12 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
     nc = build_nc(g)
     n = g.rank
     add("nc-size-catalan", fuss_catalan(spec, 1), nc.size)
+    # chains[j] counts the multichains of length p ending at j, so one
+    # transfer step takes p - 1 to p
+    chains = [1] * nc.size
     for p in range(2, p_max + 1):
-        add(f"multichains-p{p}", fuss_catalan(spec, p),
-            count_multichains(nc, p))
+        chains = transfer(nc, chains, range(n + 1))
+        add(f"multichains-p{p}", fuss_catalan(spec, p), sum(chains))
 
     red = count_reduced(nc)
     add("reduced-count", ll_number(spec), red)
@@ -209,7 +212,7 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
         add("hurwitz-transitive", red,
             len(hurwitz_orbit(g, reduced[0], cap=ORBIT_GATE)))
         if n >= 2:
-            fibers = concatenation_fibers(nc, cap=ORBIT_GATE)
+            fibers = concatenation_fibers(g, reduced)
             add("fiber-sum-reduced", red, sum(fibers.values()))
             mismatches = sum(
                 1 for fact, size in fibers.items()

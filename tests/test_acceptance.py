@@ -175,7 +175,7 @@ def test_criterion_07_fibers(criterion, group_of, nc_of):
     for name in ("A3", "B3", "D4", "H3", "F4"):
         g = group_of(name)
         nc = nc_of(name)
-        fibers = concatenation_fibers(nc)
+        fibers = concatenation_fibers(g, enumerate_reduced(nc))
         comp = (2,) + (1,) * (g.rank - 2)
         if len(fibers) != count_fact_by_composition(nc, comp):
             bad.append((name, "fiber count"))

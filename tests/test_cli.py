@@ -3,12 +3,23 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ncfact
 from ncfact.cli import main
+
+
+def child_env():
+    """Environment for a CLI subprocess that imports the ncfact under test."""
+    paths = [str(Path(ncfact.__file__).resolve().parents[1])]
+    paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+              if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def run_cli(capsys, *argv):
@@ -232,7 +243,7 @@ def test_concurrent_runs_keep_every_entry(tmp_path):
     procs = [subprocess.Popen(
         [sys.executable, "-m", "ncfact.cli", "verify", group,
          "--format", "json", "--cache", str(cache)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=child_env())
         for group in groups]
     for proc in procs:
         _, err = proc.communicate(timeout=120)
@@ -247,7 +258,8 @@ def test_large_rank_prints_exact_decimals(capsys):
     checks = {c["name"]: c["actual"] for c in json.loads(out)["checks"]}
     assert checks["order"] == str(math.factorial(3001))
     proc = subprocess.run([sys.executable, "-m", "ncfact.cli", "verify",
-                           "A3000"], capture_output=True, text=True)
+                           "A3000"], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "budget exceeded" in proc.stderr
@@ -255,7 +267,7 @@ def test_large_rank_prints_exact_decimals(capsys):
 
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "ncfact.cli", "info", "A2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "| order | 6 |" in proc.stdout
     assert proc.stderr.startswith("[info ")

@@ -205,7 +205,7 @@ def test_hurwitz_singleton(group_of):
 def test_concatenation_fibers_a3(group_of, nc_of):
     g = group_of("A3")
     nc = nc_of("A3")
-    fibers = concatenation_fibers(nc)
+    fibers = concatenation_fibers(g, enumerate_reduced(nc))
     assert sum(fibers.values()) == 16
     assert len(fibers) == count_fact_by_composition(nc, (2, 1))
     assert set(fibers.values()) == {2, 3}

@@ -2,12 +2,14 @@
 conjugacy ids, parabolic degrees, budget gating."""
 
 import itertools
+import random
 
 import pytest
 
+from ncfact import kernels
 from ncfact.errors import (BudgetExceeded, NotInNC, NotLengthTwo,
                            RankTooSmall)
-from ncfact.groups import build_group
+from ncfact.groups import Element, build_group
 
 
 def test_multiply_convention_symmetric_group(group_of):
@@ -146,10 +148,38 @@ def test_elements_iteration_matches_order(group_of):
         assert len({w.perm for w in elems}) == g.spec.order
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_type_a_carrier(n):
+    # A(n) is the one-color monomial carrier on n+1 points
+    g = build_group(f"A{n}")
+    m = n + 1
+    assert g.coxeter.perm == bytes((x + 1) % m for x in range(m))
+    transpositions = []
+    for i, j in itertools.combinations(range(m), 2):
+        images = list(range(m))
+        images[i], images[j] = j, i
+        transpositions.append(bytes(images))
+    assert g.carrier.refl_perms == tuple(sorted(transpositions))
+    rng = random.Random(n)
+    for _ in range(20):
+        images = list(range(m))
+        rng.shuffle(images)
+        seen, cycles = set(), 0
+        for start in range(m):
+            if start not in seen:
+                cycles += 1
+                x = start
+                while x not in seen:
+                    seen.add(x)
+                    x = images[x]
+        w = Element(g.name, bytes(images))
+        assert g.fixed_space_codim(w) == m - cycles
+
+
 def test_wide_carrier_int16_path(group_of):
     # I2(150) acts on 300 colored points: exercises the uint16 perms
     g = group_of("I2(150)")
-    assert g.npoints == 300
+    assert len(kernels.unpack(g.coxeter.perm)) == 300
     assert g.element_order(g.coxeter) == 150
     assert g.reflection_length(g.coxeter) == 2
     assert len(g.reflections) == 150

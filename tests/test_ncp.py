@@ -144,14 +144,14 @@ def _old_route(group):
     and class ids from a conjugation orbit per element."""
     table = group.length_table()
     car = group.carrier
-    npts, n = car.npoints, group.rank
+    n = group.rank
     members = sorted(
         (length, perm) for perm, length in table.items()
-        if length + table[kernels.compose(kernels.inverse(perm, npts),
-                                          car.coxeter, npts)] == n)
+        if length + table[kernels.compose(kernels.inverse(perm),
+                                          car.coxeter)] == n)
     perms = [p for _, p in members]
     ranks = [r for r, _ in members]
-    rows = kernels.leq_rows(perms, ranks, table, npts)
+    rows = kernels.leq_rows(perms, ranks, table)
     size = len(perms)
     preds = [[[] for _ in range(size)] for _ in range(n + 1)]
     preds_all = [[] for _ in range(size)]
@@ -161,7 +161,7 @@ def _old_route(group):
                 preds_all[j].append(i)
                 preds[ranks[j] - ranks[i]][j].append(i)
     class_ids = [
-        Element(group.name, min(kernels.conj_orbit(p, car.refl_perms, npts)))
+        Element(group.name, min(kernels.conj_orbit(p, car.refl_perms)))
         .serialize() if r == 2 else None
         for r, p in members]
     return perms, ranks, rows, preds, preds_all, class_ids
@@ -186,9 +186,9 @@ def test_class_ids_only_for_rank_two(monkeypatch):
     seeds = []
     real = kernels.conj_orbit
 
-    def spy(seed, gens, npoints):
+    def spy(seed, gens):
         seeds.append(seed)
-        return real(seed, gens, npoints)
+        return real(seed, gens)
 
     monkeypatch.setattr(kernels, "conj_orbit", spy)
     for name in ("B3", "D4", "G(3,1,3)"):

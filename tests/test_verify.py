@@ -2,6 +2,7 @@
 
 import json
 
+from ncfact import facto, ncp, verify
 from ncfact.families import parse_group
 from ncfact.verify import run_verify
 
@@ -55,3 +56,24 @@ def test_orbit_gate_skips_expensive_checks():
     names = [c.name for c in rep.checks]
     assert "hurwitz-transitive" not in names  # |Red| = 41472 > gate
     assert "table-rows" in names
+
+
+def test_multichain_checks_take_one_transfer_per_p(monkeypatch):
+    # the multichain vector for p is one transfer step from the one for p-1
+    real = ncp.transfer
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    for module in (ncp, facto, verify):
+        if vars(module).get("transfer") is real:
+            monkeypatch.setattr(module, "transfer", counting)
+
+    def transfers(p_max):
+        calls.clear()
+        assert run_verify(parse_group("A3"), p_max=p_max).passed
+        return len(calls)
+
+    assert transfers(16) - transfers(8) == 8

@@ -116,7 +116,7 @@ def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str],
         checks.append(Check(f"composition {arg}", value, value))
     else:  # by-class
         nc = build_nc(g)
-        rows = row_records(g, submaximal_by_class(nc))
+        rows = row_records(submaximal_by_class(nc))
     return Report(spec.name, checks, rows, make_meta(budget)).payload()
 
 
@@ -155,7 +155,7 @@ def cmd_table(group_or_family: str, budget: Optional[int]) -> dict:
     if g.rank >= 2:
         rows = submaximal_by_class(build_nc(g))
         checks = [table_rows_check(spec, rows)]
-    return Report(spec.name, checks, row_records(g, rows),
+    return Report(spec.name, checks, row_records(rows),
                   make_meta(budget)).payload()
 
 

@@ -5,7 +5,9 @@ is c and whose reflection lengths sum to l(c) = rank.  Factorizations with
 composition (l(w_1), ..., l(w_p)) correspond to strict rank-jump chains in
 NC(W, c), so all counting is `ncp.transfer` steps over the materialized
 poset; explicit enumeration is kept alongside as an independent route and
-for the Hurwitz/concatenation checks.
+for the Hurwitz/concatenation checks.  An `LLRow` is a codimension-2
+stratum (`ncp.NcClass`) plus its counts; its r and reducibility come from
+one scan for the reflections below (atoms of) the representative.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ncfact import kernels
-from ncfact.errors import (BudgetExceeded, IndexOutOfRange, NonIntegerResult,
-                           NotLengthTwo, RankTooSmall)
-from ncfact.groups import ClassId, Element, Group
-from ncfact.ncp import NcPoset, strata_codim2, transfer
+from ncfact.errors import (IndexOutOfRange, NonIntegerResult, NotLengthTwo,
+                           RankTooSmall)
+from ncfact.groups import Element, Group
+from ncfact.ncp import NcClass, NcPoset, strata_codim2, transfer
 
 
 @dataclass(frozen=True)
@@ -33,16 +35,14 @@ class Factorization:
 
 
 @dataclass(frozen=True)
-class LLRow:
-    """Per-conjugacy-class data for submaximal factorizations."""
+class LLRow(NcClass):
+    """A codimension-2 stratum plus its submaximal factorization data."""
 
-    class_id: ClassId
-    representative: Element
-    size_in_nc: int
     count: int                 # submaximal factorizations of this type
     r: int                     # pair count |{(r1, r2) : r1 r2 = w}|
     u: int                     # derived degree: count * |W| / ((n-1)! h^(n-1))
     parabolic: Tuple[int, int]  # invariant degrees (d1', h')
+    reducible: bool            # parabolic splits into two rank-1 factors
 
 
 def make_factorization(g: Group, factors: Iterable[Element]) -> Factorization:
@@ -110,12 +110,8 @@ def r_lambda(g: Group, w: Element) -> int:
     if g.reflection_length(w) != 2:
         raise NotLengthTwo(f"element has length {g.reflection_length(w)}, "
                            "need 2")
-    # r1 r2 = w iff r1^-1 w = r2; T is closed under inversion, so count
-    # the s = r1^-1 in T with s w in T
-    car = g.carrier
-    perm = w.perm
-    return sum(1 for s in car.refl_perms
-               if kernels.compose(s, perm) in car.refl_set)
+    # r1 r2 = w iff r1 =< w, and then r2 = r1^-1 w is determined
+    return len(g.reflections_below(w))
 
 
 def derived_degree(g: Group, count: int) -> int:
@@ -150,28 +146,29 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     for j in range(size - 1, 0, -1):
         for i in covers[j]:
             backward[i] += backward[j]
-    # sum per quotient first, so each class id is asked for once per
-    # rank-2 element rather than once per pair
-    per_quot: Dict[int, int] = {}
+    # weight[q]: submaximal factorizations whose length-2 factor is
+    # element q; the jump-2 pair (i, j) contributes forward[i]*backward[j]
+    inv = [kernels.inverse(p) for p in nc.perms]
+    weight = [0] * size
     for j in range(size):
         for i in nc.preds_by_jump[2][j]:
-            q = nc.index[kernels.compose(kernels.inverse(nc.perms[i]),
-                                         nc.perms[j])]
-            per_quot[q] = per_quot.get(q, 0) + forward[i] * backward[j]
-    per_class: Dict[ClassId, int] = {}
-    for q, count in per_quot.items():
-        cid = nc.class_id(q)
-        per_class[cid] = per_class.get(cid, 0) + count
+            q = nc.index[kernels.compose(inv[i], nc.perms[j])]
+            weight[q] += forward[i] * backward[j]
     rows = []
     for cls in strata_codim2(nc):
-        count = per_class.pop(cls.class_id)
+        count = sum(weight[q] for q in cls.members)
         rep = cls.representative
-        rows.append(LLRow(class_id=cls.class_id, representative=rep,
-                          size_in_nc=cls.size_in_nc, count=count,
-                          r=r_lambda(g, rep), u=derived_degree(g, count),
-                          parabolic=g.parabolic_degrees(rep)))
-    if per_class:
-        raise AssertionError("quotient classes not among rank-2 strata")
+        # the atoms generate the parabolic, which is abelian, i.e. a
+        # product of two rank-1 groups, iff they pairwise commute
+        atoms = g.reflections_below(rep)
+        reducible = all(kernels.compose(a, b) == kernels.compose(b, a)
+                        for k, a in enumerate(atoms) for b in atoms[k + 1:])
+        rows.append(LLRow(**vars(cls), count=count, r=len(atoms),
+                          u=derived_degree(g, count),
+                          parabolic=g.parabolic_degrees(rep),
+                          reducible=reducible))
+    if sum(row.count for row in rows) != sum(weight):
+        raise AssertionError("quotients outside the rank-2 strata")
     return rows
 
 
@@ -209,15 +206,12 @@ def hurwitz_orbit(g: Group, f: Factorization,
             for state in orbit]
 
 
-def enumerate_by_composition(nc: NcPoset, comp: Sequence[int],
-                             cap: Optional[int] = None) -> List[Factorization]:
+def enumerate_by_composition(nc: NcPoset,
+                             comp: Sequence[int]) -> List[Factorization]:
     """All factorizations with the given composition, explicitly."""
     parts = _validate_composition(nc, comp)
-    if cap is not None:
-        total = count_fact_by_composition(nc, parts)
-        if total > cap:
-            raise BudgetExceeded(f"{total} factorizations exceed cap {cap}")
     g = nc.group
+    inv = [kernels.inverse(p) for p in nc.perms]
     out: List[Factorization] = []
     factors: List[Element] = []
 
@@ -228,7 +222,7 @@ def enumerate_by_composition(nc: NcPoset, comp: Sequence[int],
             out.append(Factorization(tuple(reversed(factors))))
             return
         for i in nc.preds_by_jump[parts[t - 1]][j]:
-            quot = kernels.compose(kernels.inverse(nc.perms[i]), nc.perms[j])
+            quot = kernels.compose(inv[i], nc.perms[j])
             factors.append(Element(g.name, quot))
             walk(i, t - 1)
             factors.pop()
@@ -237,10 +231,9 @@ def enumerate_by_composition(nc: NcPoset, comp: Sequence[int],
     return out
 
 
-def enumerate_reduced(nc: NcPoset,
-                      cap: Optional[int] = None) -> List[Factorization]:
+def enumerate_reduced(nc: NcPoset) -> List[Factorization]:
     """All reduced reflection factorizations of c, explicitly."""
-    return enumerate_by_composition(nc, (1,) * nc.group.rank, cap=cap)
+    return enumerate_by_composition(nc, (1,) * nc.group.rank)
 
 
 def concatenation_fibers(g: Group, reduced: Iterable[Factorization]

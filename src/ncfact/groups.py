@@ -145,7 +145,6 @@ class Group:
         self.budget = budget
         self._lengths: Optional[Dict[bytes, int]] = None
         self._class_ids: Dict[bytes, ClassId] = {}
-        self._parabolics: Dict[bytes, Tuple[Tuple[int, int], bool]] = {}
 
     def __repr__(self) -> str:
         return f"Group({self.name})"
@@ -264,6 +263,14 @@ class Group:
             self._class_ids[member] = cid
         return cid
 
+    def reflections_below(self, w: Element) -> List[bytes]:
+        """The reflections t =< w (its atoms), in T order, for l(w) = 2:
+        t =< w iff t^-1 w, or equally its inverse w^-1 t, is in T."""
+        car = self.carrier
+        winv = kernels.inverse(self._own(w))
+        return [t for t in car.refl_perms
+                if kernels.compose(winv, t) in car.refl_set]
+
     def parabolic_degrees(self, w: Element) -> Tuple[int, int]:
         """Invariant degrees (d1', h') of the rank-2 parabolic fixing Fix(w).
 
@@ -273,31 +280,23 @@ class Group:
         """
         if self.rank < 2:
             raise RankTooSmall(f"{self.name} has no length-2 elements")
-        perm = self._own(w)
-        cached = self._parabolics.get(perm)
-        if cached is not None:
-            return cached[0]
         if self.reflection_length(w) != 2:
             raise NotLengthTwo(f"element has length "
                                f"{self.reflection_length(w)}, need 2")
         if not self.absolute_leq(w, self.coxeter):
             raise NotInNC("element is not below the Coxeter element")
-        car = self.carrier
-        atoms = [r for r in car.refl_perms
-                 if kernels.compose(kernels.inverse(r), perm) in car.refl_set]
         # A dihedral parabolic has as many atoms as reflections, yet two of
         # them generate it: an atom becomes a generator only when the
         # closure so far misses it.
         gens: List[bytes] = []
         seen: Dict[bytes, int] = {}
-        for a in atoms:
+        for a in self.reflections_below(w):
             if a not in seen:
                 gens.append(a)
                 seen = kernels.bfs_lengths(gens)
         # Count reflections of the closure, not just the atoms: e.g. the
         # Z3 x A1 parabolic of G(3,1,3) has 3 reflections but only 2 atoms.
-        refls = [x for x in seen if x in car.refl_set]
-        n_r = len(refls)
+        n_r = sum(1 for x in seen if x in self.carrier.refl_set)
         order = len(seen)
         s = n_r + 2
         disc = s * s - 4 * order
@@ -309,19 +308,7 @@ class Group:
         pair = ((s - root) // 2, (s + root) // 2)
         if pair[0] * pair[1] != order:
             raise AssertionError(f"{self.name}: bad parabolic degrees {pair}")
-        reducible = all(
-            kernels.compose(a, b) == kernels.compose(b, a)
-            for k, a in enumerate(refls) for b in refls[k + 1:])
-        self._parabolics[perm] = (pair, reducible)
         return pair
-
-    def parabolic_reducible(self, w: Element) -> bool:
-        """True when the rank-2 parabolic fixing Fix(w) splits as a product
-        of two rank-1 groups (equivalently: all its reflections commute)."""
-        perm = self._own(w)
-        if perm not in self._parabolics:
-            self.parabolic_degrees(w)
-        return self._parabolics[perm][1]
 
 
 def build_group(spec_or_name: GroupSpec | str,

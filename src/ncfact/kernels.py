@@ -1,11 +1,11 @@
 """Permutation kernels, in pure Python.
 
 A permutation on npoints points is bytes of length npoints (one byte per
-image) when npoints <= 256, else length 2*npoints (uint16 images, explicitly
-little-endian so serializations are platform-independent).  A 1-byte
-permutation is at most 256 bytes long and a 2-byte one at least 514, so a
-permutation carries its own width: every kernel reads it from its input,
-and only `identity` is told how many points to use.  This module is the
+image) when npoints <= 256, else length 2*npoints (uint16 images in struct
+format "<H": little-endian, so serializations are platform-independent).
+A 1-byte permutation is at most 256 bytes long and a 2-byte one at least
+514, so a permutation carries its own width: every kernel reads it from its
+input, and only `identity` is told how many points to use.  This module is the
 only one that knows the format; `pack`/`unpack` convert between it and a
 sequence of images.  compose(a, b) returns the permutation
 x -> a[b[x]], i.e. apply b first; this matches the convention
@@ -17,8 +17,8 @@ parabolic subgroups, Hurwitz orbits) is one call to `bfs`.
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
+from operator import itemgetter
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence)
 
@@ -31,21 +31,14 @@ def pack(images: Sequence[int]) -> bytes:
     """The permutation x -> images[x], serialized."""
     if len(images) <= 256:
         return bytes(images)
-    arr = array("H", images)
-    if sys.byteorder == "big":
-        arr.byteswap()
-    return arr.tobytes()
+    return struct.pack(f"<{len(images)}H", *images)
 
 
 def unpack(perm: bytes) -> Sequence[int]:
     """The images of a serialized permutation, indexable by point."""
     if len(perm) <= 256:
         return perm
-    arr = array("H")
-    arr.frombytes(perm)
-    if sys.byteorder == "big":
-        arr.byteswap()
-    return arr
+    return struct.unpack(f"<{len(perm) // 2}H", perm)
 
 
 def identity(npoints: int) -> bytes:
@@ -60,8 +53,7 @@ def compose(a: bytes, b: bytes) -> bytes:
     if len(b) <= 256:
         # translate wants a 256-byte table; the padded tail is never hit
         return b.translate(a + _PAD[len(a):])
-    aa, bb = unpack(a), unpack(b)
-    return pack([aa[x] for x in bb])
+    return pack(itemgetter(*unpack(b))(unpack(a)))
 
 
 def inverse(a: bytes) -> bytes:

@@ -6,6 +6,8 @@ and the last index is the Coxeter element.  The poset is found by walking
 down from c along covers, and the order relation, stored as per-element bit
 rows of up-sets, is the closure of those covers.  Class ids are computed
 only for the elements they are asked for, and the group memoises them.
+The codimension-2 strata are the classes of the rank-2 elements; each
+`NcClass` carries its members, the NC indices of the stratum.
 `preds_by_jump` is the one predecessor structure, and multichain and chain
 counting are repeated `transfer` steps over it.
 """
@@ -24,12 +26,17 @@ from ncfact.groups import ClassId, Element, Group
 
 @dataclass(frozen=True)
 class NcClass:
-    """A conjugacy class met by NC, at a fixed rank."""
+    """A conjugacy class met by NC, at a fixed rank: members are its NC
+    indices, increasing, and the representative is the first."""
 
     class_id: ClassId
     rank: int
     representative: Element
-    size_in_nc: int
+    members: Tuple[int, ...]
+
+    @property
+    def size_in_nc(self) -> int:
+        return len(self.members)
 
 
 class NcPoset:
@@ -103,9 +110,6 @@ class NcPoset:
         """Conjugacy class id of element i, computed on first request."""
         return self.group.conjugacy_class_id(self.elements[i])
 
-    def class_of(self, x: Element) -> ClassId:
-        return self.class_id(self.index_of(x))
-
     def leq(self, u: Element, v: Element) -> bool:
         return bool(self.leq_rows[self.index_of(u)] >> self.index_of(v) & 1)
 
@@ -158,7 +162,7 @@ def strata_codim2(nc: NcPoset) -> List[NcClass]:
             buckets.setdefault(nc.class_id(i), []).append(i)
     classes = [NcClass(class_id=cid, rank=2,
                        representative=nc.elements[idxs[0]],
-                       size_in_nc=len(idxs))
+                       members=tuple(idxs))
                for cid, idxs in buckets.items()]
     classes.sort(key=lambda c: (c.size_in_nc, c.class_id))
     return classes

@@ -48,7 +48,7 @@ from .facto import (LLRow, concatenation_fibers, count_fact_k, count_reduced,
                     enumerate_reduced, hurwitz_orbit, r_lambda,
                     submaximal_by_class)
 from .families import GroupSpec
-from .groups import Group, build_group
+from .groups import build_group
 from .ncp import build_nc, fuss_catalan, transfer
 
 # Exhaustive checks (explicit reduced tuples, fibers, Hurwitz orbits) are
@@ -102,10 +102,10 @@ def make_meta(budget: Optional[int]) -> Dict[str, Optional[str]]:
             "seconds": None}
 
 
-def class_label(g: Group, row: LLRow) -> str:
+def class_label(row: LLRow) -> str:
     """Human name for a rank-2 parabolic class, e.g. A2 or Z3xA1."""
     d1, hp = row.parabolic
-    if g.parabolic_reducible(row.representative):
+    if row.reducible:
         if (d1, hp) == (2, 2):
             return "A1xA1"
         if d1 == 2:
@@ -119,14 +119,14 @@ def class_label(g: Group, row: LLRow) -> str:
     return f"rank2({d1},{hp})"
 
 
-def row_records(g: Group, rows: Sequence[LLRow]) -> List[dict]:
+def row_records(rows: Sequence[LLRow]) -> List[dict]:
     """JSON-ready row records; numbers as decimal strings."""
     records = []
     for row in rows:
         digest = hashlib.sha256(row.class_id).hexdigest()[:16]
         records.append({
             "class_id": digest,
-            "label": class_label(g, row),
+            "label": class_label(row),
             "d1p": str(row.parabolic[0]),
             "hp": str(row.parabolic[1]),
             "r": str(row.r),
@@ -136,12 +136,12 @@ def row_records(g: Group, rows: Sequence[LLRow]) -> List[dict]:
     return records
 
 
-def expected_r(g: Group, row: LLRow) -> object:
+def expected_r(row: LLRow) -> object:
     """LL number of the rank-2 parabolic: 2h'/d1' when irreducible; a
     product of two rank-1 groups has LL number 2 (the two interleavings)
     whatever its degrees."""
     d1, hp = row.parabolic
-    if g.parabolic_reducible(row.representative):
+    if row.reducible:
         return 2
     return Fraction(2 * hp, d1)
 
@@ -201,14 +201,14 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
         add("degree-sum-u", deg_discriminant(spec) - deg_jacobian(spec),
             sum(row.u for row in rows))
         for i, row in enumerate(rows):
-            add(f"r-ll-class{i}", expected_r(g, row), row.r)
+            add(f"r-ll-class{i}", expected_r(row), row.r)
             if spec.is_two_reflection:
                 add(f"r-order-class{i}",
                     g.element_order(row.representative), row.r)
         checks.append(table_rows_check(spec, rows))
 
     if red <= ORBIT_GATE:
-        reduced = enumerate_reduced(nc, cap=ORBIT_GATE)
+        reduced = enumerate_reduced(nc)
         add("hurwitz-transitive", red,
             len(hurwitz_orbit(g, reduced[0], cap=ORBIT_GATE)))
         if n >= 2:
@@ -220,4 +220,4 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
             add("fiber-mismatches", 0, mismatches)
 
     return Report(group=spec.name, checks=checks,
-                  rows=row_records(g, rows), meta=make_meta(budget))
+                  rows=row_records(rows), meta=make_meta(budget))

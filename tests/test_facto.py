@@ -5,12 +5,14 @@ from collections import Counter
 
 import pytest
 
+from ncfact import build_group, build_nc, kernels
 from ncfact.errors import BudgetExceeded, IndexOutOfRange, NotLengthTwo
 from ncfact.facto import (concatenation_fibers, count_fact_by_composition,
                           count_fact_k, count_reduced, derived_degree,
                           enumerate_by_composition, enumerate_reduced,
                           hurwitz_move, hurwitz_orbit, make_factorization,
                           r_lambda, submaximal_by_class)
+from ncfact.groups import Group
 
 
 def _compositions(n):
@@ -113,6 +115,62 @@ def test_submaximal_rows_frozen(nc_of):
     assert sorted((r.r, r.u) for r in rows) == [(2, 60), (3, 40), (5, 24)]
     counts = sorted(r.count for r in rows)
     assert counts == [270, 450, 675]  # 45/4 * u
+
+
+def test_submaximal_asks_one_class_id_per_rank_two_element(monkeypatch):
+    calls = []
+    real = Group.conjugacy_class_id
+
+    def spy(self, w):
+        calls.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(Group, "conjugacy_class_id", spy)
+    nc = build_nc(build_group("D5"))
+    submaximal_by_class(nc)
+    rank2 = [w for w, r in zip(nc.elements, nc.ranks) if r == 2]
+    assert len(calls) == len(rank2) == 70
+    assert sorted(calls, key=lambda w: w.perm) == rank2
+
+
+def test_enumerate_reduced_inverts_each_nc_element_at_most_once(
+        monkeypatch):
+    nc = build_nc(build_group("D5"))
+    calls = []
+    real = kernels.inverse
+
+    def spy(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(kernels, "inverse", spy)
+    reduced = enumerate_reduced(nc)
+    assert len(reduced) == count_reduced(nc)
+    assert len(calls) <= nc.size == 182
+
+
+def _reducible_by_closure(g, w):
+    """The rule reducibility used to be computed by: every reflection of
+    the parabolic generated by the atoms of w commutes with every other."""
+    atoms = [t.perm for t in g.reflections
+             if g.reflection_length(g.multiply(g.inverse(t), w)) == 1]
+    refls = [x for x in kernels.bfs_lengths(atoms)
+             if x in g.carrier.refl_set]
+    return all(kernels.compose(a, b) == kernels.compose(b, a)
+               for a in refls for b in refls)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "G(3,1,3)", "G(4,1,3)",
+                                  "G(3,1,4)"])
+def test_reducible_matches_closure_rule(group_of, nc_of, name):
+    g = group_of(name)
+    rows = submaximal_by_class(nc_of(name))
+    for row in rows:
+        assert row.reducible == _reducible_by_closure(g, row.representative)
+    if name == "G(3,1,3)":
+        # Z3xA1 and A2 share the degrees (2, 3); only reducibility differs
+        assert {row.reducible for row in rows
+                if row.parabolic == (2, 3)} == {True, False}
 
 
 def test_row_counts_sum_to_fact_n_minus_1(nc_of):

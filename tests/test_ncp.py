@@ -118,6 +118,19 @@ def test_strata_codim2(nc_of):
     assert sizes[3] > sizes[0] and sizes[0] == sizes[1] == sizes[2]
 
 
+@pytest.mark.parametrize("name", ["D4", "G(3,1,3)", "H3"])
+def test_strata_members_partition_rank_two(nc_of, name):
+    nc = nc_of(name)
+    strata = strata_codim2(nc)
+    members = sorted(i for s in strata for i in s.members)
+    assert members == [i for i, r in enumerate(nc.ranks) if r == 2]
+    for s in strata:
+        assert list(s.members) == sorted(s.members)
+        assert s.size_in_nc == len(s.members)
+        assert s.representative == nc.elements[s.members[0]]
+        assert all(nc.class_id(i) == s.class_id for i in s.members)
+
+
 def test_strata_requires_rank_two(nc_of):
     with pytest.raises(RankTooSmall):
         strata_codim2(nc_of("A1"))

@@ -165,7 +165,7 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
                         for k, a in enumerate(atoms) for b in atoms[k + 1:])
         rows.append(LLRow(**vars(cls), count=count, r=len(atoms),
                           u=derived_degree(g, count),
-                          parabolic=g.parabolic_degrees(rep),
+                          parabolic=g.parabolic_degrees_of_atoms(atoms),
                           reducible=reducible))
     if sum(row.count for row in rows) != sum(weight):
         raise AssertionError("quotients outside the rank-2 strata")

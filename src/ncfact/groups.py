@@ -10,9 +10,14 @@ own width, so nothing here passes a point count to `kernels` except
 `identity`.  Products follow (v*w)(x) = v(w(x)), so multiply(a, b) applies
 b first.
 
-Enumeration-scale work (length tables, conjugacy orbits) is budget-gated:
-with no explicit budget, groups over 10^7 elements and the E7/E8 families
-raise BudgetExceeded; an explicit budget is compared against |W| only.
+The carrier also gives a small generating set (for conjugacy orbits and
+the Schreier-Sims order) and the lower covers of an element of NC(W, c), so
+nothing on the verifier's path lists W; the length table (a BFS over all of
+W) serves the absolute-order queries on arbitrary elements and the test
+oracles.  Enumeration-scale work (NC(W, c), length tables, conjugacy
+orbits) is budget-gated: with no explicit budget, groups over 10^7 elements
+and the E7/E8 families raise BudgetExceeded; an explicit budget is compared
+against |W| only.
 """
 
 from __future__ import annotations
@@ -48,11 +53,20 @@ class Element:
 
 @dataclass
 class _Carrier:
+    """A faithful permutation action of W.
+
+    gens generate W (checked by the verifier's group-order, a Schreier-Sims
+    order over them); lower_covers(v), for v in NC(W, c), lists the v*t
+    (t in T) with t =< v, i.e. the elements v covers in absolute order.
+    """
+
     npoints: int
     refl_perms: Tuple[bytes, ...]
     refl_set: frozenset
     coxeter: bytes
     codim: Callable[[bytes], int]
+    gens: Tuple[bytes, ...]
+    lower_covers: Callable[[bytes], List[bytes]]
 
 
 def _carrier_a(n: int) -> _Carrier:
@@ -91,17 +105,23 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
                 refls.append(mono(range(n), colors))
 
     if with_diagonal:
-        sigma = [(i + 1) % n for i in range(n)]
-        colors = [0] * n
-        colors[n - 1] = 1
-        cox = mono(sigma, colors)
+        # c = diag(zeta, 1, ..) * (0 1 .. n-1): coordinate i -> i+1, and
+        # n-1 -> 0 times zeta; the cycle is s_0 s_1 .. s_(n-2)
+        parts = [transp(k, k + 1, 0) for k in range(n - 1)]
+        if d > 1:
+            parts.insert(0, mono(range(n), [1] + [0] * (n - 1)))
     else:
         parts = [transp(0, 1, 0), transp(0, 1, 1)]
         parts += [transp(k, k + 1, 0) for k in range(1, n - 1)]
-        cox = functools.reduce(kernels.compose, parts)
+    cox = functools.reduce(kernels.compose, parts)
 
-    def codim(perm: bytes) -> int:
-        images = kernels.unpack(perm)
+    # An element on coordinates: entry i is sigma(i)*d + c_i, the image of
+    # point (i, 0).  codim is n minus the number of sigma-cycles whose
+    # colors sum to 0 mod d.
+    def coords(perm: bytes) -> Sequence[int]:
+        return kernels.unpack(perm)[::d]
+
+    def codim_coords(img: Sequence[int]) -> int:
         fixed = 0
         seen = bytearray(n)
         for start in range(n):
@@ -110,21 +130,60 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
                 x = start
                 while not seen[x]:
                     seen[x] = 1
-                    img = images[x * d]
-                    total += img % d
-                    x = img // d
+                    total += img[x] % d
+                    x = img[x] // d
                 if total % d == 0:
                     fixed += 1
         return n - fixed
 
-    return _Carrier(n * d, tuple(sorted(refls)), frozenset(refls), cox, codim)
+    def codim(perm: bytes) -> int:
+        return codim_coords(coords(perm))
+
+    refl_perms = tuple(sorted(refls))
+    refl_coords = [coords(t) for t in refl_perms]
+
+    def times(vc: Sequence[int], tc: Sequence[int]) -> List[int]:
+        """Coordinates of v*t: t sends (i, 0) to y = (j, c), then v sends
+        j on and adds its own color at j."""
+        out = []
+        for y in tc:
+            w = vc[y // d]
+            out.append(w - w % d + (w + y) % d)
+        return out
+
+    # t =< v drops codim by one (Bessis, Annals 2015: l_R = codim on
+    # [1, c]); the converse holds on real groups (Carter 1972, Lemma 2)
+    # and is checked against the BFS oracle on the complex ones.  Only the
+    # covers are composed on points.
+    def lower_covers(v: bytes) -> List[bytes]:
+        vc = coords(v)
+        below = codim_coords(vc) - 1
+        return [kernels.compose(v, t)
+                for t, tc in zip(refl_perms, refl_coords)
+                if codim_coords(times(vc, tc)) == below]
+
+    return _Carrier(n * d, refl_perms, frozenset(refls), cox, codim,
+                    tuple(parts), lower_covers)
 
 
 def _carrier_root(name: str) -> _Carrier:
     rs = build_root_system(name)
     cox = functools.reduce(kernels.compose, rs.simple_perms)
+    last = rs.npoints - 1
+    # t negates exactly one +/- root pair: root i and root last - i
+    roots = [next(i for i, y in enumerate(kernels.unpack(t)) if y == last - i)
+             for t in rs.reflection_perms]
+
+    # t =< v iff the root of t lies in Mov(v) (Brady-Watt 2002 with
+    # Carter 1972, Lemma 2), and v*t is then a lower cover of v
+    def lower_covers(v: bytes) -> List[bytes]:
+        moved = rs.moved_roots(v)
+        return [kernels.compose(v, t)
+                for t, i in zip(rs.reflection_perms, roots) if moved[i]]
+
     return _Carrier(rs.npoints, rs.reflection_perms,
-                    frozenset(rs.reflection_perms), cox, rs.codim)
+                    frozenset(rs.reflection_perms), cox, rs.codim,
+                    rs.simple_perms, lower_covers)
 
 
 class Group:
@@ -143,7 +202,10 @@ class Group:
         self.order = spec.order
         self.num_reflections = spec.num_reflections
         self.budget = budget
-        self._lengths: Optional[Dict[bytes, int]] = None
+        # empty until length_table() builds it, which NC(W, c) and the
+        # verifier never do; a dict either way, as perfbench/tracer.py
+        # takes its len after every build_nc
+        self._lengths: Dict[bytes, int] = {}
         self._class_ids: Dict[bytes, ClassId] = {}
 
     def __repr__(self) -> str:
@@ -221,7 +283,7 @@ class Group:
 
     def length_table(self) -> Dict[bytes, int]:
         """Reflection length of every element, keyed by permutation."""
-        if self._lengths is not None:
+        if self._lengths:
             return self._lengths
         self.check_enumeration_budget()
         table = kernels.bfs_lengths(self.carrier.refl_perms)
@@ -257,7 +319,7 @@ class Group:
         if cached is not None:
             return cached
         self.check_enumeration_budget()
-        orbit = kernels.conj_orbit(perm, self.carrier.refl_perms)
+        orbit = kernels.conj_orbit(perm, self.carrier.gens)
         cid = Element(self.name, min(orbit)).serialize()
         for member in orbit:
             self._class_ids[member] = cid
@@ -285,12 +347,18 @@ class Group:
                                f"{self.reflection_length(w)}, need 2")
         if not self.absolute_leq(w, self.coxeter):
             raise NotInNC("element is not below the Coxeter element")
+        return self.parabolic_degrees_of_atoms(self.reflections_below(w))
+
+    def parabolic_degrees_of_atoms(self, atoms: Sequence[bytes]
+                                   ) -> Tuple[int, int]:
+        """Degrees (d1', h') of the rank-2 parabolic the atoms of a rank-2
+        element of NC generate; parabolic_degrees without its checks."""
         # A dihedral parabolic has as many atoms as reflections, yet two of
         # them generate it: an atom becomes a generator only when the
         # closure so far misses it.
         gens: List[bytes] = []
         seen: Dict[bytes, int] = {}
-        for a in self.reflections_below(w):
+        for a in atoms:
             if a not in seen:
                 gens.append(a)
                 seen = kernels.bfs_lengths(gens)

@@ -11,8 +11,10 @@ sequence of images.  compose(a, b) returns the permutation
 x -> a[b[x]], i.e. apply b first; this matches the convention
 (v*w)(x) = v(w(x)) used for group products throughout.
 
-Every closure in the package (roots, W, conjugacy orbits, NC(W, c) below c,
-parabolic subgroups, Hurwitz orbits) is one call to `bfs`.
+Every closure in the package (roots, conjugacy orbits, NC(W, c) below c,
+parabolic subgroups, Hurwitz orbits, and W itself for the test oracles) is
+one call to `bfs`; the order of the group a set of permutations generates
+comes from `schreier_sims_order`, which never lists the group.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import struct
 from operator import itemgetter
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
-                    Sequence)
+                    Sequence, Tuple)
 
 from ncfact.errors import BudgetExceeded
 
@@ -124,6 +126,90 @@ def conj_orbit(seed: bytes, gens: Sequence[bytes]) -> List[bytes]:
     pairs = [(g, inverse(g)) for g in gens]
     return list(bfs([seed], lambda x: [
         compose(compose(g, x), ginv) for g, ginv in pairs]))
+
+
+def schreier_sims_order(gens: Sequence[bytes]) -> int:
+    """Order of the group gens generate, by deterministic Schreier-Sims.
+
+    Builds a base b_0, b_1, ... and a strong generating set level by level
+    (Seress, Permutation Group Algorithms, 2003, sec. 4.2): level l holds
+    the strong generators fixing b_0 .. b_(l-1) and a transversal of their
+    orbit of b_l.  A Schreier generator of level i that does not sift
+    through the levels below i is itself a strong generator there.  The
+    order is the product of the orbit lengths; gens must be non-empty.
+    """
+    ident = identity(len(unpack(gens[0])))
+    base: List[int] = []
+    strong: List[List[bytes]] = []
+    # trans[l][x] = (u, u^-1) with u(b_l) = x, for x in the orbit of b_l
+    trans: List[Dict[int, Tuple[bytes, bytes]]] = []
+
+    def add_level(g: bytes) -> None:
+        base.append(next(x for x, y in enumerate(unpack(g)) if x != y))
+        strong.append([])
+        trans.append({})
+
+    def grow(level: int) -> None:
+        """Close the transversal of a level under its strong generators;
+        the coset representatives found so far stay valid."""
+        tree = trans[level]
+        tree.setdefault(base[level], (ident, ident))
+        queue = list(tree)
+        for x in queue:
+            u = tree[x][0]
+            for s in strong[level]:
+                y = unpack(s)[x]
+                if y not in tree:
+                    v = compose(s, u)
+                    tree[y] = (v, inverse(v))
+                    queue.append(y)
+
+    def sift(g: bytes, start: int) -> Tuple[bytes, int]:
+        """Strip g through levels start..; the residue and the level it
+        fails at (len(base) when it passes them all)."""
+        for level in range(start, len(base)):
+            coset = trans[level].get(unpack(g)[base[level]])
+            if coset is None:
+                return g, level
+            g = compose(coset[1], g)
+        return g, len(base)
+
+    def failing_schreier_generator(i: int) -> Optional[Tuple[bytes, int]]:
+        for u, _ in trans[i].values():
+            for s in strong[i]:
+                su = compose(s, u)
+                v, v_inv = trans[i][unpack(su)[base[i]]]
+                if su != v:
+                    h, j = sift(compose(v_inv, su), i + 1)
+                    if j < len(base) or h != ident:
+                        return h, j
+        return None
+
+    gens = [g for g in gens if g != ident]
+    for g in gens:
+        if all(unpack(g)[b] == b for b in base):
+            add_level(g)
+    for level in range(len(base)):
+        strong[level] = [g for g in gens
+                         if all(unpack(g)[b] == b for b in base[:level])]
+        grow(level)
+    i = len(base) - 1
+    while i >= 0:
+        found = failing_schreier_generator(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            add_level(h)
+        for level in range(i + 1, j + 1):
+            strong[level].append(h)
+            grow(level)
+        i = j
+    order = 1
+    for tree in trans:
+        order *= len(tree)
+    return order
 
 
 def leq_rows(perms: Sequence[bytes], ranks: Sequence[int],

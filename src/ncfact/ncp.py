@@ -4,7 +4,11 @@ NC(W, c) = {w : w =< c} in absolute order, graded by reflection length.
 Elements are sorted by (rank, permutation bytes), so index 0 is the identity
 and the last index is the Coxeter element.  The poset is found by walking
 down from c along covers, and the order relation, stored as per-element bit
-rows of up-sets, is the closure of those covers.  Class ids are computed
+rows of up-sets, is the closure of those covers.  The carrier lists the
+lower covers of each element it is handed, so W is never enumerated: a
+root carrier keeps the v*t whose root of t lies in Mov(v) (one pass over
+the cycles of v decides every t), a monomial carrier the v*t of codim one
+less than v.  Class ids are computed
 only for the elements they are asked for, and the group memoises them.
 The codimension-2 strata are the classes of the rank-2 elements; each
 `NcClass` carries its members, the NC indices of the stratum.
@@ -43,27 +47,23 @@ class NcPoset:
     """Materialized NC(W, c); immutable after construction."""
 
     def __init__(self, group: Group):
-        table = group.length_table()
+        group.check_enumeration_budget()
         car = group.carrier
         n = group.rank
-        if table[car.coxeter] != n:
-            raise AssertionError(f"{group.name}: Coxeter element has length "
-                                 f"{table[car.coxeter]}, expected rank {n}")
         # [1, c] is graded and downward closed, so the walk down from c by
-        # covers reaches all of it, and rank is n minus distance.  The lower
-        # covers of v are the v*t (t in T) one shorter: u <= v one shorter
-        # means u^-1 v is a reflection, and T is closed under inversion.
+        # covers reaches all of it, and rank is n minus distance.  The
+        # carrier lists the lower covers of v without knowing l_T on W.
         lower: Dict[bytes, List[bytes]] = {}
 
         def step(v: bytes) -> List[bytes]:
-            below = table[v] - 1
-            lower[v] = [x for x in (kernels.compose(v, t)
-                                    for t in car.refl_perms)
-                        if table[x] == below]
+            lower[v] = car.lower_covers(v)
             return lower[v]
 
         dist = kernels.bfs([car.coxeter], step)
         members = sorted((n - d, p) for p, d in dist.items())
+        if members[0] != (0, kernels.identity(car.npoints)):
+            raise AssertionError(f"{group.name}: the walk down from c does "
+                                 f"not end at the identity in {n} steps")
         self.group = group
         self.perms: Tuple[bytes, ...] = tuple(p for _, p in members)
         self.ranks: Tuple[int, ...] = tuple(r for r, _ in members)

@@ -31,6 +31,7 @@ class RootSystem:
     index: Dict[Vector, int]
     reflection_perms: Tuple[bytes, ...]     # one per root pair, sorted
     simple_perms: Tuple[bytes, ...]         # reflections of the simple roots
+    packed: Tuple[int, ...]                 # root i as one int, see _pack
 
     @property
     def npoints(self) -> int:
@@ -46,6 +47,48 @@ class RootSystem:
         return matrix_rank([
             [y - x for x, y in zip(e, self.roots[images[self.index[e]]])]
             for e in _units(self.rank)])
+
+    def moved_roots(self, perm: bytes) -> bytearray:
+        """flags[i] = 1 iff root i lies in Mov(perm) = Im(perm - 1).
+
+        The average of the powers of perm projects onto Fix(perm) with
+        kernel Mov(perm), so a root lies in Mov(perm) iff the roots of its
+        perm-cycle sum to zero; with packed roots a cycle sum is one int
+        addition per root.
+        """
+        images = kernels.unpack(perm)
+        packed = self.packed
+        flags = bytearray(len(images))
+        seen = bytearray(len(images))
+        for start in range(len(images)):
+            if seen[start]:
+                continue
+            cycle = []
+            total = 0
+            x = start
+            while not seen[x]:
+                seen[x] = 1
+                cycle.append(x)
+                total += packed[x]
+                x = images[x]
+            if not total:
+                for x in cycle:
+                    flags[x] = 1
+        return flags
+
+
+# A root packs into one int with a signed LANE-bit lane per Z[phi]
+# coefficient.  A sum of at most npoints roots has lane values below
+# 2^(LANE-1) in absolute value (asserted per root system), so it is zero
+# iff every lane is.
+LANE = 20
+
+
+def _pack(root: Vector) -> int:
+    value = 0
+    for k, x in enumerate(root):
+        value += (x.a << (2 * k * LANE)) + (x.b << ((2 * k + 1) * LANE))
+    return value
 
 
 def _units(rank: int) -> Tuple[Vector, ...]:
@@ -121,9 +164,13 @@ def build_root_system(name: str) -> RootSystem:
                              f"got {len(perms)}")
     simple_perms = tuple(refl_perm(s) for s in simples)
 
+    bound = max(abs(c) for r in root_list for x in r for c in (x.a, x.b))
+    if npoints * bound >= 1 << (LANE - 1):
+        raise AssertionError(f"{name}: root coordinates overflow a lane")
     rs = RootSystem(name=name, rank=rank, gram=gram, roots=root_list,
                     index=index, reflection_perms=tuple(perms),
-                    simple_perms=simple_perms)
+                    simple_perms=simple_perms,
+                    packed=tuple(_pack(r) for r in root_list))
     for p in simple_perms:
         if kernels.compose(p, p) != kernels.identity(npoints):
             raise AssertionError(f"{name}: simple reflection not an involution")

@@ -1,7 +1,8 @@
 """Shared fixtures: session-cached groups and NC posets.
 
-Group construction (root systems, BFS length tables) is the expensive part
-of most tests, so both factories memoize per group name for the session.
+Group construction (root systems, and the BFS length tables the oracle
+tests build) is the expensive part of most tests, so both factories memoize
+per group name for the session.
 """
 
 import pytest

@@ -270,3 +270,26 @@ def test_note_e7_e8_closed_form(criterion):
             build_group(name).length_table()
     criterion("E7/E8", ok, "closed-form identities verified; enumeration "
               "categorically gated behind an explicit --budget")
+
+
+def _verify_by_enumeration(capsys, name, budget):
+    code = cli_main(["verify", name, "--budget", str(budget),
+                     "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert all(check["pass"] for check in payload["checks"])
+    return sorted((int(row["r"]), int(row["u"])) for row in payload["rows"])
+
+
+def test_e7_verified_by_enumeration(capsys):
+    # |W| = 2903040 but |NC| = 4160: NC, every DP check and the per-class
+    # table row, by enumeration, in about 1.5 s
+    assert _verify_by_enumeration(capsys, "E7", 3_000_000) == [(2, 210),
+                                                              (3, 112)]
+
+
+@pytest.mark.slow
+def test_e8_verified_by_enumeration(capsys):
+    # |NC| = 25080; about 17 s and 216 MB on a 2-vCPU Xeon VM
+    assert _verify_by_enumeration(capsys, "E8", 700_000_000) == [(2, 504),
+                                                                (3, 224)]

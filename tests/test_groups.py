@@ -188,3 +188,34 @@ def test_reflections_are_length_one(group_of):
     for r in g.reflections:
         assert g.reflection_length(r) == 1
         assert g.fixed_space_codim(r) == 1
+
+
+# A-I2, both monomial families and every exceptional type
+ORDER_GROUPS = ("A1", "A5", "B4", "D2", "D5", "I2(7)", "I2(150)",
+                "G(3,1,1)", "G(3,1,3)", "G(4,1,2)", "G(3,3,4)", "G(4,4,3)",
+                "H3", "H4", "F4", "E6", "E7", "E8")
+
+
+@pytest.mark.parametrize("name", ORDER_GROUPS)
+def test_schreier_sims_order_of_gens(name):
+    g = build_group(name)  # the carrier alone needs no budget
+    gens = g.carrier.gens
+    assert kernels.schreier_sims_order(gens) == g.spec.order
+    # every generator is needed: without it the order drops
+    if len(gens) > 1:
+        for k in range(len(gens)):
+            rest = gens[:k] + gens[k + 1:]
+            assert kernels.schreier_sims_order(rest) < g.spec.order
+
+
+@pytest.mark.parametrize("name", ["B3", "G(3,1,3)", "G(4,1,2)", "G(5,1,1)"])
+def test_gd1n_coxeter_element(name):
+    # c sends coordinate i to i+1 and n-1 to 0 with color 1, as the
+    # product of diag(zeta, 1, ..) and the adjacent transpositions
+    g = build_group(name)
+    d, n = g.spec.d, g.spec.n
+    images = [((i + 1) % n) * d + (k + (i == n - 1)) % d
+              for i in range(n) for k in range(d)]
+    assert g.coxeter.perm == bytes(images)
+    assert g.carrier.gens[0] == bytes(
+        i * d + (k + (i == 0)) % d for i in range(n) for k in range(d))

@@ -11,6 +11,7 @@ from ncfact.facto import submaximal_by_class
 from ncfact.families import parse_group
 from ncfact.groups import Element
 from ncfact.ncp import count_multichains, fuss_catalan, strata_codim2
+from ncfact.rootdata import build_root_system
 
 # |NC(W)| = prod (d_i + h)/d_i, all independently recomputable by hand
 NC_SIZES = {
@@ -142,19 +143,23 @@ def test_members_sorted_by_rank_then_perm(nc_of):
     assert keys == sorted(keys)
 
 
-# every group the suite builds up to |W| = 51840 (E6)
+# every group the suite builds up to |W| = 51840 (E6), and with it every
+# G(d,1,n) and G(e,e,n) it builds: on G(e,e,n) the codim-drop cover test
+# rests on this comparison alone
 ORACLE_GROUPS = (
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "D4", "D5", "D6",
     "H3", "F4", "H4", "E6", "I2(5)", "I2(150)", "G(3,1,3)", "G(3,1,4)",
     "G(4,1,3)", "G(3,3,3)", "G(4,4,3)", "G(5,5,4)",
+    "G(3,1,2)", "G(3,1,5)", "G(4,1,4)", "G(3,3,4)", "G(4,4,4)", "G(5,5,3)",
+    "G(6,6,3)", "G(4,4,5)",
 )
 
 
 def _old_route(group):
-    """NC as built before the walk down from c: membership by
+    """NC from the BFS over all of W: membership by
     l(w) + l(w^-1 c) = n over the whole length table, all-pairs
     kernels.leq_rows, predecessor lists from every bit (i = j at jump 0),
-    and class ids from a conjugation orbit per element."""
+    and class ids from a conjugation orbit per element under all of T."""
     table = group.length_table()
     car = group.carrier
     n = group.rank
@@ -213,3 +218,24 @@ def test_class_ids_only_for_rank_two(monkeypatch):
         assert all(g.reflection_length(Element(g.name, p)) == 2
                    for p in seeds)
         seeds.clear()
+
+
+@pytest.mark.parametrize("name", ["F4", "H4", "E6"])
+def test_mov_test_matches_codim_drop(nc_of, name):
+    # t =< v iff the root of t is in Mov(v), against the matrix_rank codim
+    # of v and v*t, for every v in NC and every t
+    nc = nc_of(name)
+    car = nc.group.carrier
+    rs = build_root_system(name)
+    last = rs.npoints - 1
+    roots = [next(i for i in range(rs.npoints) if t[i] == last - i)
+             for t in car.refl_perms]
+    for v in nc.perms:
+        moved = rs.moved_roots(v)
+        drop = car.codim(v) - 1
+        assert [bool(moved[i]) for i in roots] == [
+            car.codim(kernels.compose(v, t)) == drop for t in car.refl_perms]
+        assert car.lower_covers(v) == [
+            kernels.compose(v, t) for t, i in zip(car.refl_perms, roots)
+            if moved[i]]
+

@@ -2,9 +2,16 @@
 
 import json
 
-from ncfact import facto, ncp, verify
+import pytest
+
+from ncfact import build_group, build_nc, facto, ncp, verify
 from ncfact.families import parse_group
+from ncfact.groups import Group
 from ncfact.verify import run_verify
+
+# the groups of the benchmark's verify workload
+BENCH_GROUPS = ("H3", "F4", "H4", "E6", "A7", "D6", "G(3,1,5)", "G(4,4,5)",
+                "G(4,1,4)", "G(5,5,4)", "I2(150)")
 
 
 def test_report_all_pass_and_inventory():
@@ -77,3 +84,15 @@ def test_multichain_checks_take_one_transfer_per_p(monkeypatch):
         return len(calls)
 
     assert transfers(16) - transfers(8) == 8
+
+
+@pytest.mark.parametrize("name", BENCH_GROUPS)
+def test_verify_never_builds_the_length_table(monkeypatch, name):
+    # NC(W, c) comes from the carrier's cover test and |W| from
+    # Schreier-Sims, so no run lists W
+    def refuse(self):
+        raise AssertionError(f"{self.name}: length table requested")
+
+    monkeypatch.setattr(Group, "length_table", refuse)
+    build_nc(build_group(name))
+    assert run_verify(parse_group(name)).passed

@@ -12,16 +12,21 @@ one scan for the reflections below (atoms of) the representative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ncfact import kernels
 from ncfact.errors import (IndexOutOfRange, NonIntegerResult, NotLengthTwo,
                            RankTooSmall)
 from ncfact.groups import Element, Group
 from ncfact.ncp import NcClass, NcPoset, strata_codim2, transfer
+
+# the rank jumps of a cover
+COVER = range(1, 2)
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ def _validate_composition(nc: NcPoset, comp: Sequence[int]) -> Tuple[int, ...]:
     return parts
 
 
-def _count_chains(nc: NcPoset, jump_sets: Iterable[Sequence[int]]) -> int:
+def _count_chains(nc: NcPoset, jump_sets: Iterable[range]) -> int:
     """Chains from the identity to c with t-th rank jump in jump_sets[t]."""
     vec = [0] * nc.size
     vec[0] = 1
@@ -87,7 +92,36 @@ def _count_chains(nc: NcPoset, jump_sets: Iterable[Sequence[int]]) -> int:
 def count_fact_by_composition(nc: NcPoset, comp: Sequence[int]) -> int:
     """Factorizations with the given length composition, by transfer sums."""
     parts = _validate_composition(nc, comp)
-    return _count_chains(nc, [(part,) for part in parts])
+    return _count_chains(nc, [range(part, part + 1) for part in parts])
+
+
+def fact_counts(nc: NcPoset) -> List[int]:
+    """fact_k, the factorizations into exactly k factors, for k = 0 ..
+    rank, from one pass over the strict relation.
+
+    out[j] packs, in its k-th lane of L bits, the strict chains of k steps
+    from the identity to j: out[0] = 1 and out[j] is the sum of out[i] over
+    the i < j below j, shifted up one lane.  A k-step chain to j < c
+    extends to a (k+1)-step chain to c, and every strict chain of k steps
+    to c lies in a maximal one, so no lane holds more than
+    max_k C(n-1, k-1) |Red(c)|, which sizes L without the closed forms.
+    """
+    n = nc.group.rank
+    red = count_reduced(nc)
+    width = (max(math.comb(n - 1, k - 1) for k in range(1, n + 1)) * red
+             ).bit_length()
+    out = [0] * nc.size
+    out[0] = 1
+    get = out.__getitem__
+    down, start = nc.down, nc.down_start
+    for j in range(1, nc.size):
+        out[j] = sum(map(get, down[start[j]:start[j + 1] - 1])) << width
+    mask = (1 << width) - 1
+    lanes = [out[-1] >> (k * width) & mask for k in range(n + 1)]
+    if lanes[n] != red:
+        raise AssertionError(f"{nc.group.name}: fact_{n} is {lanes[n]}, "
+                             f"|Red(c)| is {red}")
+    return lanes
 
 
 def count_fact_k(nc: NcPoset, k: int) -> int:
@@ -97,12 +131,23 @@ def count_fact_k(nc: NcPoset, k: int) -> int:
         raise ValueError("k must be >= 1")
     if k > n:
         return 0
-    return _count_chains(nc, [range(1, n + 1)] * k)
+    return fact_counts(nc)[k]
+
+
+def _cover_paths(nc: NcPoset) -> List[int]:
+    """paths[j]: maximal chains from the identity to j, i.e. the reduced
+    reflection factorizations of element j, in one pass over the covers."""
+    paths = [0] * nc.size
+    paths[0] = 1
+    get = paths.__getitem__
+    for j in range(1, nc.size):
+        paths[j] = sum(map(get, nc.below(j, COVER)))
+    return paths
 
 
 def count_reduced(nc: NcPoset) -> int:
     """|Red(c)|: factorizations into rank many reflections."""
-    return count_fact_by_composition(nc, (1,) * nc.group.rank)
+    return _cover_paths(nc)[-1]
 
 
 def r_lambda(g: Group, w: Element) -> int:
@@ -135,23 +180,19 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     if n < 2:
         raise RankTooSmall("submaximal factorizations need rank >= 2")
     size = nc.size
-    covers = nc.preds_by_jump[1]
-    forward = [0] * size
-    forward[0] = 1
-    for j in range(1, size):
-        forward[j] = sum(forward[i] for i in covers[j])
+    forward = _cover_paths(nc)
     # upper covers have higher index, so backward[j] is final when read
     backward = [0] * size
     backward[size - 1] = 1
     for j in range(size - 1, 0, -1):
-        for i in covers[j]:
+        for i in nc.below(j, COVER):
             backward[i] += backward[j]
     # weight[q]: submaximal factorizations whose length-2 factor is
     # element q; the jump-2 pair (i, j) contributes forward[i]*backward[j]
     inv = [kernels.inverse(p) for p in nc.perms]
     weight = [0] * size
     for j in range(size):
-        for i in nc.preds_by_jump[2][j]:
+        for i in nc.below(j, range(2, 3)):
             q = nc.index[kernels.compose(inv[i], nc.perms[j])]
             weight[q] += forward[i] * backward[j]
     rows = []
@@ -172,11 +213,13 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     return rows
 
 
-def _braid(a: bytes, b: bytes, direction: int) -> Tuple[bytes, bytes]:
+def _braid(a: bytes, b: bytes, direction: int,
+           inverse: Callable[[bytes], bytes] = kernels.inverse
+           ) -> Tuple[bytes, bytes]:
     """(a, b) -> (aba^-1, a) for direction 1, (b, b^-1 ab) for -1."""
     if direction == 1:
-        return (kernels.compose(kernels.compose(a, b), kernels.inverse(a)), a)
-    return (b, kernels.compose(kernels.compose(kernels.inverse(b), a), b))
+        return (kernels.compose(kernels.compose(a, b), inverse(a)), a)
+    return (b, kernels.compose(kernels.compose(inverse(b), a), b))
 
 
 def hurwitz_move(g: Group, f: Factorization, i: int,
@@ -196,9 +239,11 @@ def hurwitz_move(g: Group, f: Factorization, i: int,
 def hurwitz_orbit(g: Group, f: Factorization,
                   cap: Optional[int] = None) -> List[Factorization]:
     """Orbit of f under all braid moves, BFS order; BudgetExceeded past cap."""
+    # the orbit's states share few distinct factors: invert each once
+    inverse = functools.lru_cache(maxsize=None)(kernels.inverse)
     orbit = kernels.bfs(
         [tuple(x.perm for x in f.factors)],
-        lambda state: [state[:i] + _braid(state[i], state[i + 1], d)
+        lambda state: [state[:i] + _braid(state[i], state[i + 1], d, inverse)
                        + state[i + 2:]
                        for i in range(len(state) - 1) for d in (1, -1)],
         cap)
@@ -221,7 +266,8 @@ def enumerate_by_composition(nc: NcPoset,
         if t == 0:
             out.append(Factorization(tuple(reversed(factors))))
             return
-        for i in nc.preds_by_jump[parts[t - 1]][j]:
+        part = parts[t - 1]
+        for i in nc.below(j, range(part, part + 1)):
             quot = kernels.compose(inv[i], nc.perms[j])
             factors.append(Element(g.name, quot))
             walk(i, t - 1)

@@ -121,46 +121,66 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
     def coords(perm: bytes) -> Sequence[int]:
         return kernels.unpack(perm)[::d]
 
-    def codim_coords(img: Sequence[int]) -> int:
-        fixed = 0
-        seen = bytearray(n)
+    def cycle_sums(img: Sequence[int]) -> Tuple[List[int], ...]:
+        """Per coordinate x: the coordinate its sigma-cycle starts at, its
+        position on the cycle, the color sum mod d from the start up to x
+        (exclusive); and, at each start, the cycle's color sum mod d."""
+        first = [-1] * n
+        pos = [0] * n
+        pre = [0] * n
+        total = [0] * n
         for start in range(n):
-            if not seen[start]:
-                total = 0
+            if first[start] < 0:
+                acc = k = 0
                 x = start
-                while not seen[x]:
-                    seen[x] = 1
-                    total += img[x] % d
+                while first[x] < 0:
+                    first[x], pos[x], pre[x] = start, k, acc
+                    acc = (acc + img[x]) % d
+                    k += 1
                     x = img[x] // d
-                if total % d == 0:
-                    fixed += 1
-        return n - fixed
+                total[start] = acc
+        return first, pos, pre, total
 
     def codim(perm: bytes) -> int:
-        return codim_coords(coords(perm))
+        first, _, _, total = cycle_sums(coords(perm))
+        return n - sum(1 for x in range(n) if first[x] == x and not total[x])
 
     refl_perms = tuple(sorted(refls))
-    refl_coords = [coords(t) for t in refl_perms]
-
-    def times(vc: Sequence[int], tc: Sequence[int]) -> List[int]:
-        """Coordinates of v*t: t sends (i, 0) to y = (j, c), then v sends
-        j on and adds its own color at j."""
-        out = []
-        for y in tc:
-            w = vc[y // d]
-            out.append(w - w % d + (w + y) % d)
-        return out
+    # (t, i, j, a) for the transposition sending (i, 0) to (j, a), i < j;
+    # (t, i, -1, a) for the diagonal reflection of color a at i
+    shapes = []
+    for t in refl_perms:
+        tc = coords(t)
+        i, *rest = [x for x in range(n) if tc[x] != x * d]
+        shapes.append((t, i, rest[0] if rest else -1, tc[i] % d))
 
     # t =< v drops codim by one (Bessis, Annals 2015: l_R = codim on
     # [1, c]); the converse holds on real groups (Carter 1972, Lemma 2)
-    # and is checked against the BFS oracle on the complex ones.  Only the
-    # covers are composed on points.
+    # and is checked against the BFS oracle on the complex ones.  The drop
+    # is read off the cycles of v: a diagonal t adds its color to one
+    # cycle's sum, a transposition joins two cycles (sums add) or splits
+    # one, and codim drops by one iff exactly one more cycle sums to 0.
+    # Only the covers are composed on points.
     def lower_covers(v: bytes) -> List[bytes]:
-        vc = coords(v)
-        below = codim_coords(vc) - 1
-        return [kernels.compose(v, t)
-                for t, tc in zip(refl_perms, refl_coords)
-                if codim_coords(times(vc, tc)) == below]
+        first, pos, pre, total = cycle_sums(coords(v))
+        out = []
+        for t, i, j, a in shapes:
+            s = total[first[i]]
+            if j < 0:
+                hit = s and not (s + a) % d
+            elif first[i] != first[j]:
+                s2 = total[first[j]]
+                hit = s and s2 and not (s + s2) % d
+            else:
+                # the part of the split cycle through j, i.e. sigma(i) ..
+                # j, sums to b: the colors from i up to j, wrapping past
+                # the cycle's start when j comes first, less a
+                wrap = s if pos[j] < pos[i] else 0
+                b = (pre[j] - pre[i] + wrap - a) % d
+                hit = b == 0 or b == s
+            if hit:
+                out.append(kernels.compose(v, t))
+        return out
 
     return _Carrier(n * d, refl_perms, frozenset(refls), cox, codim,
                     tuple(parts), lower_covers)
@@ -170,16 +190,27 @@ def _carrier_root(name: str) -> _Carrier:
     rs = build_root_system(name)
     cox = functools.reduce(kernels.compose, rs.simple_perms)
     last = rs.npoints - 1
-    # t negates exactly one +/- root pair: root i and root last - i
-    roots = [next(i for i, y in enumerate(kernels.unpack(t)) if y == last - i)
-             for t in rs.reflection_perms]
+    # t negates exactly one +/- root pair, root i and root last - i;
+    # refl_of[x] is the position in T of the reflection in root x
+    refl_of = [0] * rs.npoints
+    for k, t in enumerate(rs.reflection_perms):
+        i = next(i for i, y in enumerate(kernels.unpack(t)) if y == last - i)
+        refl_of[i] = refl_of[last - i] = k
+    # within[u]: the moved roots of the upper cover that first listed u.
+    # u =< v fixes Fix(v), so it permutes the roots in Mov(v), and Mov(u)
+    # lies in Mov(v): only those roots need summing.  The walk lists every
+    # element before it asks for its covers, and c starts from all roots.
+    within: Dict[bytes, List[int]] = {}
 
     # t =< v iff the root of t lies in Mov(v) (Brady-Watt 2002 with
     # Carter 1972, Lemma 2), and v*t is then a lower cover of v
     def lower_covers(v: bytes) -> List[bytes]:
-        moved = rs.moved_roots(v)
-        return [kernels.compose(v, t)
-                for t, i in zip(rs.reflection_perms, roots) if moved[i]]
+        moved = rs.moved_roots(v, within.pop(v, None))
+        out = [kernels.compose(v, rs.reflection_perms[k])
+               for k in sorted({refl_of[x] for x in moved})]
+        for u in out:
+            within.setdefault(u, moved)
+        return out
 
     return _Carrier(rs.npoints, rs.reflection_perms,
                     frozenset(rs.reflection_perms), cox, rs.codim,

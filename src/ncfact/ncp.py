@@ -3,24 +3,30 @@
 NC(W, c) = {w : w =< c} in absolute order, graded by reflection length.
 Elements are sorted by (rank, permutation bytes), so index 0 is the identity
 and the last index is the Coxeter element.  The poset is found by walking
-down from c along covers, and the order relation, stored as per-element bit
-rows of up-sets, is the closure of those covers.  The carrier lists the
-lower covers of each element it is handed, so W is never enumerated: a
-root carrier keeps the v*t whose root of t lies in Mov(v) (one pass over
-the cycles of v decides every t), a monomial carrier the v*t of codim one
-less than v.  Class ids are computed
-only for the elements they are asked for, and the group memoises them.
-The codimension-2 strata are the classes of the rank-2 elements; each
-`NcClass` carries its members, the NC indices of the stratum.
-`preds_by_jump` is the one predecessor structure, and multichain and chain
-counting are repeated `transfer` steps over it.
+down from c along covers, and the order relation is the closure of those
+covers.  The carrier lists the lower covers of each element it is handed,
+so W is never enumerated: a root carrier keeps the v*t whose root of t lies
+in Mov(v) (one pass over the cycles of v decides every t), a monomial
+carrier the v*t of codim one less than v (read off the cycles of v and
+their color sums).  Class ids are computed only for the elements they are
+asked for, and the group memoises them.  The codimension-2 strata are the
+classes of the rank-2 elements; each `NcClass` carries its members, the NC
+indices of the stratum.
+
+The relation is stored flat: the down-set of j is the sorted slice
+down[down_start[j]:down_start[j + 1]], ending at j, and since indices
+increase with rank the i below j with a given range of rank jumps are one
+bisected slice of it (`NcPoset.below`).  That is the one predecessor
+structure; multichain and chain counting are `transfer` steps over it.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ncfact import kernels
 from ncfact.errors import NonIntegerResult, NotInNC, RankTooSmall
@@ -53,10 +59,13 @@ class NcPoset:
         # [1, c] is graded and downward closed, so the walk down from c by
         # covers reaches all of it, and rank is n minus distance.  The
         # carrier lists the lower covers of v without knowing l_T on W.
+        # Each element is kept once: a cover met again is swapped for the
+        # copy seen first.
         lower: Dict[bytes, List[bytes]] = {}
+        seen: Dict[bytes, bytes] = {}
 
         def step(v: bytes) -> List[bytes]:
-            lower[v] = car.lower_covers(v)
+            lower[v] = [seen.setdefault(x, x) for x in car.lower_covers(v)]
             return lower[v]
 
         dist = kernels.bfs([car.coxeter], step)
@@ -71,28 +80,27 @@ class NcPoset:
             Element(group.name, p) for p in self.perms)
         self.index: Dict[bytes, int] = {p: i for i, p in enumerate(self.perms)}
         self.size = len(self.perms)
-        # Rows are up-sets.  Upper covers have higher rank, hence higher
-        # index, so in decreasing index order row j is complete before it is
-        # OR-ed into the rows of j's lower covers.
-        rows = [0] * self.size
-        for j in range(self.size - 1, -1, -1):
-            rows[j] |= 1 << j
-            for x in lower[self.perms[j]]:
-                rows[self.index[x]] |= rows[j]
-        self.leq_rows: Tuple[int, ...] = tuple(rows)
-        # preds_by_jump[k][j]: the i <= j with rank jump k, by increasing
-        # index; jump 0 is the diagonal
-        preds: List[List[List[int]]] = [
-            [[] for _ in range(self.size)] for _ in range(n + 1)]
-        for i, row in enumerate(rows):
-            ri = self.ranks[i]
-            while row:
-                bit = row & -row
-                row ^= bit
-                j = bit.bit_length() - 1
-                preds[self.ranks[j] - ri][j].append(i)
-        self.preds_by_jump: Tuple[Tuple[Tuple[int, ...], ...], ...] = tuple(
-            tuple(tuple(lst) for lst in level) for level in preds)
+        # The down-set of j is j plus the union of its lower covers'.
+        # Lower covers have lower rank, hence lower index, so in increasing
+        # index order theirs are already in the flat array.
+        index = self.index
+        down = array("i")
+        start = array("i", [0])
+        for j, p in enumerate(self.perms):
+            below = set()
+            for x in lower.pop(p):
+                i = index[x]
+                below.update(down[start[i]:start[i + 1]])
+            down.extend(sorted(below))
+            down.append(j)
+            start.append(len(down))
+        # down[start[j]:start[j + 1]] is the down-set of j, increasing, so
+        # by rank, ending at j itself; rank_start[r] is the first index of
+        # rank >= r
+        self.down = down
+        self.down_start = start
+        self.rank_start: Tuple[int, ...] = tuple(
+            bisect_left(self.ranks, r) for r in range(n + 2))
 
     def __repr__(self) -> str:
         return f"NcPoset({self.group.name}, size={self.size})"
@@ -110,8 +118,23 @@ class NcPoset:
         """Conjugacy class id of element i, computed on first request."""
         return self.group.conjugacy_class_id(self.elements[i])
 
+    def below(self, j: int, jumps: range) -> array:
+        """The i <= j whose rank jump to j lies in jumps (a range of step
+        1), increasing: one bisected slice of the down-set of j."""
+        a, b = self.down_start[j], self.down_start[j + 1]
+        top = self.ranks[j] - jumps.start
+        if top < 0:
+            return self.down[a:a]
+        lo = self.rank_start[max(top - len(jumps) + 1, 0)]
+        p = bisect_left(self.down, lo, a, b)
+        return self.down[p:bisect_left(self.down, self.rank_start[top + 1],
+                                       p, b)]
+
     def leq(self, u: Element, v: Element) -> bool:
-        return bool(self.leq_rows[self.index_of(u)] >> self.index_of(v) & 1)
+        i, j = self.index_of(u), self.index_of(v)
+        b = self.down_start[j + 1]
+        p = bisect_left(self.down, i, self.down_start[j], b)
+        return p < b and self.down[p] == i
 
 
 def build_nc(group: Group) -> NcPoset:
@@ -132,13 +155,11 @@ def fuss_catalan(spec: GroupSpec, p: int) -> int:
     return value.numerator
 
 
-def transfer(nc: NcPoset, vec: Sequence[int],
-             jumps: Iterable[int]) -> List[int]:
+def transfer(nc: NcPoset, vec: Sequence[int], jumps: range) -> List[int]:
     """One transfer step: out[j] sums vec[i] over the i <= j whose rank
-    jump to j is in jumps."""
-    levels = [nc.preds_by_jump[k] for k in jumps]
-    return [sum([vec[i] for level in levels for i in level[j]])
-            for j in range(nc.size)]
+    jump to j lies in jumps."""
+    get = vec.__getitem__
+    return [sum(map(get, nc.below(j, jumps))) for j in range(nc.size)]
 
 
 def count_multichains(nc: NcPoset, p: int) -> int:

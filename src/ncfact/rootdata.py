@@ -5,7 +5,9 @@ reflection in a root beta acts by s_beta(x) = x - w(x) beta, where the linear
 form w(x) = 2(beta, x)/(beta, beta) has Z[phi] coefficients because every
 root norm is a rational integer.  Closing the simple roots under the simple
 reflections yields the full root system, and every group element is carried
-as a permutation of the sorted root list.
+as a permutation of the sorted root list.  Only the simple reflections are
+computed root by root: the closure records how it first met each root,
+beta = s_i(gamma), and s_beta = s_i s_gamma s_i is then two composes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ncfact import kernels
 from ncfact.exact import GOLDEN_ONE, GOLDEN_ZERO, Golden, matrix_rank
@@ -48,8 +50,10 @@ class RootSystem:
             [y - x for x, y in zip(e, self.roots[images[self.index[e]]])]
             for e in _units(self.rank)])
 
-    def moved_roots(self, perm: bytes) -> bytearray:
-        """flags[i] = 1 iff root i lies in Mov(perm) = Im(perm - 1).
+    def moved_roots(self, perm: bytes,
+                    points: Optional[Sequence[int]] = None) -> List[int]:
+        """The roots among points (all roots by default) that lie in
+        Mov(perm) = Im(perm - 1); perm must permute points.
 
         The average of the powers of perm projects onto Fix(perm) with
         kernel Mov(perm), so a root lies in Mov(perm) iff the roots of its
@@ -58,9 +62,9 @@ class RootSystem:
         """
         images = kernels.unpack(perm)
         packed = self.packed
-        flags = bytearray(len(images))
+        moved: List[int] = []
         seen = bytearray(len(images))
-        for start in range(len(images)):
+        for start in range(len(images)) if points is None else points:
             if seen[start]:
                 continue
             cycle = []
@@ -72,9 +76,8 @@ class RootSystem:
                 total += packed[x]
                 x = images[x]
             if not total:
-                for x in cycle:
-                    flags[x] = 1
-        return flags
+                moved += cycle
+        return moved
 
 
 # A root packs into one int with a signed LANE-bit lane per Z[phi]
@@ -139,10 +142,17 @@ def build_root_system(name: str) -> RootSystem:
     simples = _units(rank)
     simple_forms = [_form(gram, s) for s in simples]
 
+    # parent[x] = (i, y): x = s_i(y), the first way the closure meets x
+    parent: Dict[Vector, Tuple[int, Vector]] = {}
+
+    def step(x: Vector) -> List[Vector]:
+        out = [_reflect(form, s, x) for form, s in zip(simple_forms, simples)]
+        for i, y in enumerate(out):
+            parent.setdefault(y, (i, x))
+        return out
+
     roots = kernels.bfs(
-        [*simples, *(tuple(-x for x in v) for v in simples)],
-        lambda x: [_reflect(form, s, x)
-                   for form, s in zip(simple_forms, simples)])
+        [*simples, *(tuple(-x for x in v) for v in simples)], step)
     root_list = tuple(sorted(roots))
     if len(root_list) != data["num_roots"]:
         raise AssertionError(
@@ -151,18 +161,26 @@ def build_root_system(name: str) -> RootSystem:
     index = {r: i for i, r in enumerate(root_list)}
     npoints = len(root_list)
 
-    def refl_perm(beta: Vector) -> bytes:
-        form = _form(gram, beta)
-        return kernels.pack([index[_reflect(form, beta, r)]
-                             for r in root_list])
-
+    simple_perms = tuple(
+        kernels.pack([index[_reflect(form, s, r)] for r in root_list])
+        for form, s in zip(simple_forms, simples))
+    # s_(s_i(y)) = s_i s_y s_i: in discovery order a root's parent comes
+    # first, so each reflection is two composes from its parent's; the
+    # seeds +/-alpha_i come first of all, with the simple reflections
+    refl: Dict[Vector, bytes] = {}
+    for k, x in enumerate(roots):
+        if k < 2 * rank:
+            refl[x] = simple_perms[k % rank]
+        else:
+            i, y = parent[x]
+            refl[x] = kernels.compose(
+                kernels.compose(simple_perms[i], refl[y]), simple_perms[i])
     # negation reverses the (a, b)-lexicographic order, so root i and root
     # npoints-1-i are a +/- pair with one reflection: the first half suffices
-    perms = sorted({refl_perm(beta) for beta in root_list[:npoints // 2]})
+    perms = sorted({refl[beta] for beta in root_list[:npoints // 2]})
     if len(perms) != npoints // 2:
         raise AssertionError(f"{name}: expected {npoints // 2} reflections, "
                              f"got {len(perms)}")
-    simple_perms = tuple(refl_perm(s) for s in simples)
 
     bound = max(abs(c) for r in root_list for x in r for c in (x.a, x.b))
     if npoints * bound >= 1 << (LANE - 1):

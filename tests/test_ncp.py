@@ -1,5 +1,6 @@
 """NC poset: sizes, grading, chain counting vs. oracle, strata."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -7,7 +8,8 @@ import pytest
 
 from ncfact import build_group, build_nc, kernels
 from ncfact.errors import NonIntegerResult, NotInNC, RankTooSmall
-from ncfact.facto import submaximal_by_class
+from ncfact.facto import (count_fact_by_composition, count_fact_k,
+                          fact_counts, submaximal_by_class)
 from ncfact.families import parse_group
 from ncfact.groups import Element
 from ncfact.ncp import count_multichains, fuss_catalan, strata_codim2
@@ -87,8 +89,7 @@ def test_fuss_catalan_is_exact_division():
 def test_multichains_vs_quadratic_oracle(nc_of):
     for name in ("A3", "B3"):
         nc = nc_of(name)
-        bit = [[bool(nc.leq_rows[i] >> j & 1) for j in range(nc.size)]
-               for i in range(nc.size)]
+        bit = [[nc.leq(u, v) for v in nc.elements] for u in nc.elements]
         # p = 2: count pairs u <= v directly
         pairs = sum(sum(row) for row in bit)
         assert count_multichains(nc, 2) == pairs
@@ -191,11 +192,17 @@ def test_poset_matches_old_route(nc_of, name):
     perms, ranks, rows, preds, preds_all, class_ids = _old_route(nc.group)
     assert list(nc.perms) == perms
     assert list(nc.ranks) == ranks
-    assert list(nc.leq_rows) == rows
-    assert [[list(lst) for lst in level] for level in nc.preds_by_jump] \
-        == preds
-    assert [sorted(i for level in nc.preds_by_jump for i in level[j])
-            for j in range(nc.size)] == preds_all
+    # the flat down-sets, expanded: as up-set bit rows, per jump, and whole
+    down = [list(nc.down[nc.down_start[j]:nc.down_start[j + 1]])
+            for j in range(nc.size)]
+    up = [0] * nc.size
+    for j, below in enumerate(down):
+        for i in below:
+            up[i] |= 1 << j
+    assert up == rows
+    assert [[list(nc.below(j, range(k, k + 1))) for j in range(nc.size)]
+            for k in range(nc.group.rank + 1)] == preds
+    assert down == preds_all
     assert [nc.class_id(i) if r == 2 else None
             for i, r in enumerate(nc.ranks)] == class_ids
 
@@ -231,11 +238,86 @@ def test_mov_test_matches_codim_drop(nc_of, name):
     roots = [next(i for i in range(rs.npoints) if t[i] == last - i)
              for t in car.refl_perms]
     for v in nc.perms:
-        moved = rs.moved_roots(v)
+        moved = set(rs.moved_roots(v))
         drop = car.codim(v) - 1
-        assert [bool(moved[i]) for i in roots] == [
+        assert [i in moved for i in roots] == [
             car.codim(kernels.compose(v, t)) == drop for t in car.refl_perms]
         assert car.lower_covers(v) == [
             kernels.compose(v, t) for t, i in zip(car.refl_perms, roots)
-            if moved[i]]
+            if i in moved]
 
+
+
+MONOMIAL = ("A", "B", "D", "I2", "GD1N", "GEEN")
+
+
+def _codim_on_coordinates(perm, n):
+    """n minus the number of sigma-cycles whose colors sum to 0 mod d, with
+    sigma and the colors read off the images of the points (i, 0)."""
+    images = kernels.unpack(perm)
+    d = len(images) // n
+    img = images[::d]
+    fixed = 0
+    seen = [False] * n
+    for start in range(n):
+        if not seen[start]:
+            total = 0
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                total += img[x] % d
+                x = img[x] // d
+            fixed += total % d == 0
+    return n - fixed
+
+
+def _check_cycle_rule(group, perms):
+    # the carrier's cycle rule against the v*t whose codim is one less,
+    # for every t, in T order
+    car = group.carrier
+    n = group.rank + (group.spec.family == "A")
+    for v in perms:
+        drop = _codim_on_coordinates(v, n) - 1
+        assert car.lower_covers(v) == [
+            kernels.compose(v, t) for t in car.refl_perms
+            if _codim_on_coordinates(kernels.compose(v, t), n) == drop], v
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "A4", "G(3,1,3)", "G(4,1,3)",
+                                  "G(5,1,2)", "G(3,3,4)", "G(4,4,3)",
+                                  "G(6,6,3)"])
+def test_cycle_rule_matches_codim_drop_on_all_of_w(group_of, name):
+    # off NC too: a split whose part sum ignores the wrap past the
+    # cycle's start agrees with the codim drop on NC but not on W
+    g = group_of(name)
+    _check_cycle_rule(g, g.length_table())
+
+
+@pytest.mark.parametrize("name", [
+    name for name in ORACLE_GROUPS + ("D7", "A8")
+    if parse_group(name).family in MONOMIAL])
+def test_cycle_rule_matches_codim_drop_on_nc(nc_of, name):
+    nc = nc_of(name)
+    _check_cycle_rule(nc.group, nc.perms)
+
+
+def _k_part_compositions(n, k):
+    for cuts in itertools.combinations(range(1, n), k - 1):
+        bounds = (0,) + cuts + (n,)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS + ("E7",))
+def test_fact_k_lanes_match_compositions(nc_of, name):
+    # the one lane pass against a transfer DP per composition
+    if name == "E7":
+        nc = build_nc(build_group(name, budget=3_000_000))
+    else:
+        nc = nc_of(name)
+    n = nc.group.rank
+    lanes = fact_counts(nc)
+    assert len(lanes) == n + 1
+    for k in range(1, n + 1):
+        assert lanes[k] == count_fact_k(nc, k) == sum(
+            count_fact_by_composition(nc, comp)
+            for comp in _k_part_compositions(n, k))

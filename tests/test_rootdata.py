@@ -4,8 +4,9 @@ import hashlib
 
 import pytest
 
-from ncfact.exact import Golden
-from ncfact.rootdata import build_root_system
+from ncfact import kernels
+from ncfact.exact import GOLDEN_ONE, GOLDEN_ZERO, Golden
+from ncfact.rootdata import _form, _reflect, build_root_system
 
 # (name, expected root count) — twice the reflection count for these types
 CASES = [("H3", 30), ("F4", 48), ("E6", 72), ("E7", 126), ("H4", 120)]
@@ -89,3 +90,22 @@ def test_gram_is_symmetric_with_norm_two_diagonal():
 
 def test_root_systems_are_cached():
     assert build_root_system("H3") is build_root_system("H3")
+
+
+@pytest.mark.parametrize("name", ["H3", "F4", "H4", "E6", "E7", "E8"])
+def test_reflections_by_conjugation_match_direct_route(name):
+    # the direct route: reflect every root in every positive root (the
+    # first half of the sorted list) with the form of that root
+    rs = build_root_system(name)
+
+    def reflection(beta):
+        form = _form(rs.gram, beta)
+        return kernels.pack([rs.index[_reflect(form, beta, r)]
+                             for r in rs.roots])
+
+    half = rs.roots[:rs.npoints // 2]
+    assert rs.reflection_perms == tuple(sorted({reflection(beta)
+                                                for beta in half}))
+    simples = [tuple(GOLDEN_ONE if i == j else GOLDEN_ZERO
+                     for i in range(rs.rank)) for j in range(rs.rank)]
+    assert rs.simple_perms == tuple(reflection(s) for s in simples)

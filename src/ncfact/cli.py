@@ -9,7 +9,7 @@ Subcommands
 
 Common flags: --format md|json|csv, --budget N, --cache PATH, --no-cache,
 and --p-max for verify.  Exit codes: 0 all checks pass, 1 a check failed,
-2 parse/usage error, 3 enumeration budget exceeded.
+2 parse/usage error, 3 work budget exceeded (before the phase starts).
 
 Output on stdout is byte-identical across runs for the same inputs and
 version: report payloads carry numbers as decimal strings, key order is
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("md", "json", "csv"),
                        default="md", help="output format (default md)")
         p.add_argument("--budget", type=positive_int, default=None,
-                       help="explicit enumeration budget (element count)")
+                       help="work budget, e.g. |NC|*|T| (default 10^7)")
         if cache:
             p.add_argument("--cache", metavar="PATH", default=None,
                            help="JSON cache file for finished reports")

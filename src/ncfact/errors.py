@@ -25,7 +25,8 @@ class RankTooSmall(NcfactError):
 
 
 class BudgetExceeded(NcfactError):
-    """An enumeration would exceed the element budget or an orbit cap."""
+    """A phase's predicted work, or an orbit, would pass the work budget;
+    the message names the group, the phase, the size and the budget."""
 
 
 class NonIntegerResult(NcfactError):

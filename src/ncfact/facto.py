@@ -20,10 +20,9 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from ncfact import kernels
-from ncfact.errors import (IndexOutOfRange, NonIntegerResult, NotLengthTwo,
-                           RankTooSmall)
+from ncfact.errors import IndexOutOfRange, NonIntegerResult, RankTooSmall
 from ncfact.groups import Element, Group
-from ncfact.ncp import NcClass, NcPoset, strata_codim2, transfer
+from ncfact.ncp import NcClass, NcPoset, build_nc, strata_codim2, transfer
 
 # the rank jumps of a cover
 COVER = range(1, 2)
@@ -51,22 +50,24 @@ class LLRow(NcClass):
 
 
 def make_factorization(g: Group, factors: Iterable[Element]) -> Factorization:
-    """Validate product, non-identity factors, and length sum."""
+    """Validate non-identity factors, product c, and length sum n: the
+    prefix products rise strictly in NC(W, c) to c, so each factor's
+    length is its rank jump (and conversely)."""
     fs = tuple(factors)
     if not fs:
         raise ValueError("a factorization needs at least one factor")
+    nc = build_nc(g)
     ident = g.identity
-    prod = ident
-    total = 0
+    prev = ident
     for w in fs:
         if w == ident:
             raise ValueError("identity factors are not allowed")
-        total += g.reflection_length(w)
-        prod = g.multiply(prod, w)
-    if prod != g.coxeter:
+        cur = g.multiply(prev, w)
+        if cur.perm not in nc.index or not nc.leq(prev, cur):
+            raise ValueError(f"factor lengths do not sum to {g.rank}")
+        prev = cur
+    if prev != g.coxeter:
         raise ValueError("product of factors is not the Coxeter element")
-    if total != g.rank:
-        raise ValueError(f"factor lengths sum to {total}, expected {g.rank}")
     return Factorization(fs)
 
 
@@ -152,9 +153,6 @@ def count_reduced(nc: NcPoset) -> int:
 
 def r_lambda(g: Group, w: Element) -> int:
     """Number of ordered reflection pairs (r1, r2) with r1 r2 = w."""
-    if g.reflection_length(w) != 2:
-        raise NotLengthTwo(f"element has length {g.reflection_length(w)}, "
-                           "need 2")
     # r1 r2 = w iff r1 =< w, and then r2 = r1^-1 w is determined
     return len(g.reflections_below(w))
 

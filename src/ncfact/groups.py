@@ -12,12 +12,11 @@ b first.
 
 The carrier also gives a small generating set (for conjugacy orbits and
 the Schreier-Sims order) and the lower covers of an element of NC(W, c), so
-nothing on the verifier's path lists W; the length table (a BFS over all of
-W) serves the absolute-order queries on arbitrary elements and the test
-oracles.  Enumeration-scale work (NC(W, c), length tables, conjugacy
-orbits) is budget-gated: with no explicit budget, groups over 10^7 elements
-and the E7/E8 families raise BudgetExceeded; an explicit budget is compared
-against |W| only.
+no library path lists W or a subgroup: rank-2 parabolics are Schreier-Sims
+chains, and the length table (a BFS over W) serves the test oracles only.
+The budget (default 10^7) bounds work, not |W|: each phase checks its
+predicted size first (carrier |T| * points, NC walk Catalan(W) * |T|,
+length table |W| * |T|), and a conjugacy orbit stops at it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ncfact import kernels
 from ncfact.errors import BudgetExceeded, NotInNC, NotLengthTwo, RankTooSmall
@@ -221,7 +220,7 @@ class Group:
     """A well-generated reflection group; immutable after construction.
 
     The carrier (reflection permutations, Coxeter element) builds lazily on
-    first access; length tables build lazily behind the enumeration budget.
+    first access; budget bounds the predicted size of every phase.
     """
 
     def __init__(self, spec: GroupSpec, budget: Optional[int] = None):
@@ -232,7 +231,7 @@ class Group:
         self.h = spec.h
         self.order = spec.order
         self.num_reflections = spec.num_reflections
-        self.budget = budget
+        self.budget = DEFAULT_BUDGET if budget is None else budget
         # empty until length_table() builds it, which NC(W, c) and the
         # verifier never do; a dict either way, as perfbench/tracer.py
         # takes its len after every build_nc
@@ -246,15 +245,19 @@ class Group:
 
     @functools.cached_property
     def carrier(self) -> _Carrier:
-        fam = self.spec.family
+        fam, d, n = self.spec.family, self.spec.d, self.spec.n
+        len_t = self.num_reflections
+        monomial = fam in ("B", "D", "I2", "GD1N", "GEEN")
+        # n+1 points for A(n), n*d colored points, or the 2|T| roots
+        points = n + 1 if fam == "A" else n * d if monomial else 2 * len_t
+        self.check_budget("carrier", len_t * points)
         if fam == "A":
-            car = _carrier_a(self.spec.n)
-        elif fam in ("B", "D", "I2", "GD1N", "GEEN"):
-            car = _carrier_monomial(self.spec.d, self.spec.n,
-                                    fam in ("B", "GD1N"))
+            car = _carrier_a(n)
+        elif monomial:
+            car = _carrier_monomial(d, n, fam in ("B", "GD1N"))
         else:
             car = _carrier_root(fam)
-        if len(car.refl_perms) != self.num_reflections:
+        if len(car.refl_perms) != len_t:
             raise AssertionError(
                 f"{self.name}: built {len(car.refl_perms)} "
                 f"reflections, degrees say {self.num_reflections}")
@@ -296,27 +299,19 @@ class Group:
 
     # -- enumeration-scale structure --------------------------------------
 
-    def check_enumeration_budget(self) -> None:
-        """Raise BudgetExceeded when W may not be enumerated."""
-        if self.budget is None:
-            if self.spec.family in ("E7", "E8"):
-                raise BudgetExceeded(
-                    f"{self.name} enumeration needs an explicit budget "
-                    f"(order {self.order})")
-            if self.order > DEFAULT_BUDGET:
-                raise BudgetExceeded(
-                    f"|{self.name}| = {self.order} exceeds the default "
-                    f"budget {DEFAULT_BUDGET}")
-        elif self.order > self.budget:
-            raise BudgetExceeded(
-                f"|{self.name}| = {self.order} exceeds the budget "
-                f"{self.budget}")
+    def check_budget(self, phase: str, size: int) -> None:
+        """BudgetExceeded when a phase's predicted size passes the budget."""
+        if size > self.budget:
+            raise BudgetExceeded(f"{self.name}: {phase} needs {size}, over "
+                                 f"the budget {self.budget}")
 
     def length_table(self) -> Dict[bytes, int]:
-        """Reflection length of every element, keyed by permutation."""
+        """Reflection length of every element, keyed by permutation, for
+        the test oracles; the benchmark's tracer wraps it and reads
+        `_lengths`, so both stay."""
         if self._lengths:
             return self._lengths
-        self.check_enumeration_budget()
+        self.check_budget("length table", self.order * self.num_reflections)
         table = kernels.bfs_lengths(self.carrier.refl_perms)
         if len(table) != self.order:
             raise AssertionError(
@@ -325,23 +320,8 @@ class Group:
         self._lengths = table
         return table
 
-    def elements(self) -> Iterator[Element]:
-        """All elements in deterministic BFS-by-length order."""
-        for perm in self.length_table():
-            yield Element(self.name, perm)
-
-    def reflection_length(self, w: Element) -> int:
-        return self.length_table()[self._own(w)]
-
     def fixed_space_codim(self, w: Element) -> int:
         return self.carrier.codim(self._own(w))
-
-    def absolute_leq(self, u: Element, v: Element) -> bool:
-        """u =< v in absolute order: l(u) + l(u^-1 v) = l(v)."""
-        table = self.length_table()
-        up, vp = self._own(u), self._own(v)
-        quot = kernels.compose(kernels.inverse(up), vp)
-        return table[up] + table[quot] == table[vp]
 
     def conjugacy_class_id(self, w: Element) -> ClassId:
         """Canonical id: serialization of the class-minimal element."""
@@ -349,8 +329,7 @@ class Group:
         cached = self._class_ids.get(perm)
         if cached is not None:
             return cached
-        self.check_enumeration_budget()
-        orbit = kernels.conj_orbit(perm, self.carrier.gens)
+        orbit = kernels.conj_orbit(perm, self.carrier.gens, self.budget)
         cid = Element(self.name, min(orbit)).serialize()
         for member in orbit:
             self._class_ids[member] = cid
@@ -358,11 +337,18 @@ class Group:
 
     def reflections_below(self, w: Element) -> List[bytes]:
         """The reflections t =< w (its atoms), in T order, for l(w) = 2:
-        t =< w iff t^-1 w, or equally its inverse w^-1 t, is in T."""
+        t =< w iff t^-1 w, or equally its inverse w^-1 t, is in T.  So
+        l(w) = 2 iff w is neither 1 nor in T (in G(d,1,n) a diagonal
+        reflection has atoms too) and has an atom; else NotLengthTwo."""
         car = self.carrier
-        winv = kernels.inverse(self._own(w))
-        return [t for t in car.refl_perms
-                if kernels.compose(winv, t) in car.refl_set]
+        perm = self._own(w)
+        winv = kernels.inverse(perm)
+        atoms = [t for t in car.refl_perms
+                 if kernels.compose(winv, t) in car.refl_set]
+        if (not atoms or perm in car.refl_set
+                or perm == kernels.identity(car.npoints)):
+            raise NotLengthTwo("element does not have reflection length 2")
+        return atoms
 
     def parabolic_degrees(self, w: Element) -> Tuple[int, int]:
         """Invariant degrees (d1', h') of the rank-2 parabolic fixing Fix(w).
@@ -373,12 +359,11 @@ class Group:
         """
         if self.rank < 2:
             raise RankTooSmall(f"{self.name} has no length-2 elements")
-        if self.reflection_length(w) != 2:
-            raise NotLengthTwo(f"element has length "
-                               f"{self.reflection_length(w)}, need 2")
-        if not self.absolute_leq(w, self.coxeter):
+        atoms = self.reflections_below(w)
+        from ncfact.ncp import build_nc  # ncp imports this module
+        if w.perm not in build_nc(self).index:
             raise NotInNC("element is not below the Coxeter element")
-        return self.parabolic_degrees_of_atoms(self.reflections_below(w))
+        return self.parabolic_degrees_of_atoms(atoms)
 
     def parabolic_degrees_of_atoms(self, atoms: Sequence[bytes]
                                    ) -> Tuple[int, int]:
@@ -386,17 +371,16 @@ class Group:
         element of NC generate; parabolic_degrees without its checks."""
         # A dihedral parabolic has as many atoms as reflections, yet two of
         # them generate it: an atom becomes a generator only when the
-        # closure so far misses it.
+        # Schreier-Sims chain so far misses it.
         gens: List[bytes] = []
-        seen: Dict[bytes, int] = {}
+        order, contains = 1, frozenset().__contains__
         for a in atoms:
-            if a not in seen:
+            if not contains(a):
                 gens.append(a)
-                seen = kernels.bfs_lengths(gens)
-        # Count reflections of the closure, not just the atoms: e.g. the
+                order, contains = kernels.schreier_sims(gens)
+        # Count reflections of the parabolic, not just the atoms: e.g. the
         # Z3 x A1 parabolic of G(3,1,3) has 3 reflections but only 2 atoms.
-        n_r = sum(1 for x in seen if x in self.carrier.refl_set)
-        order = len(seen)
+        n_r = sum(1 for t in self.carrier.refl_perms if contains(t))
         s = n_r + 2
         disc = s * s - 4 * order
         root = math.isqrt(disc)

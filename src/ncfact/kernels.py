@@ -12,9 +12,9 @@ x -> a[b[x]], i.e. apply b first; this matches the convention
 (v*w)(x) = v(w(x)) used for group products throughout.
 
 Every closure in the package (roots, conjugacy orbits, NC(W, c) below c,
-parabolic subgroups, Hurwitz orbits, and W itself for the test oracles) is
-one call to `bfs`; the order of the group a set of permutations generates
-comes from `schreier_sims_order`, which never lists the group.
+Hurwitz orbits) is one call to `bfs`; the order of the group a set of
+permutations generates, and membership in it, come from `schreier_sims`,
+which never lists the group.
 """
 
 from __future__ import annotations
@@ -121,22 +121,27 @@ def bfs_lengths(gens: Sequence[bytes]) -> Dict[bytes, int]:
     return bfs([identity(len(unpack(gens[0])))], step)
 
 
-def conj_orbit(seed: bytes, gens: Sequence[bytes]) -> List[bytes]:
-    """Closure of seed under conjugation by gens, in BFS discovery order."""
+def conj_orbit(seed: bytes, gens: Sequence[bytes],
+               cap: Optional[int] = None) -> List[bytes]:
+    """Closure of seed under conjugation by gens, in BFS discovery order;
+    BudgetExceeded past cap elements."""
     pairs = [(g, inverse(g)) for g in gens]
     return list(bfs([seed], lambda x: [
-        compose(compose(g, x), ginv) for g, ginv in pairs]))
+        compose(compose(g, x), ginv) for g, ginv in pairs], cap))
 
 
-def schreier_sims_order(gens: Sequence[bytes]) -> int:
-    """Order of the group gens generate, by deterministic Schreier-Sims.
+def schreier_sims(gens: Sequence[bytes]
+                  ) -> Tuple[int, Callable[[bytes], bool]]:
+    """Order of the group gens generate, and its membership test, by
+    deterministic Schreier-Sims.
 
     Builds a base b_0, b_1, ... and a strong generating set level by level
     (Seress, Permutation Group Algorithms, 2003, sec. 4.2): level l holds
     the strong generators fixing b_0 .. b_(l-1) and a transversal of their
     orbit of b_l.  A Schreier generator of level i that does not sift
     through the levels below i is itself a strong generator there.  The
-    order is the product of the orbit lengths; gens must be non-empty.
+    order is the product of the orbit lengths, and x is a member iff it
+    sifts to the identity through every level; gens must be non-empty.
     """
     ident = identity(len(unpack(gens[0])))
     base: List[int] = []
@@ -209,7 +214,7 @@ def schreier_sims_order(gens: Sequence[bytes]) -> int:
     order = 1
     for tree in trans:
         order *= len(tree)
-    return order
+    return order, lambda x: sift(x, 0) == (ident, len(base))
 
 
 def leq_rows(perms: Sequence[bytes], ranks: Sequence[int],
@@ -217,7 +222,8 @@ def leq_rows(perms: Sequence[bytes], ranks: Sequence[int],
     """Bit rows of the absolute order: bit j of row i set iff e_i =< e_j.
 
     e_i =< e_j iff l(e_i) + l(e_i^-1 e_j) = l(e_j); only rank_i < rank_j
-    pairs can be related, plus the diagonal.
+    pairs can be related, plus the diagonal.  Only tests call it; it stays
+    while the benchmark's tracer wraps it.
     """
     k = len(perms)
     invs = [inverse(p) for p in perms]

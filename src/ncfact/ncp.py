@@ -53,7 +53,10 @@ class NcPoset:
     """Materialized NC(W, c); immutable after construction."""
 
     def __init__(self, group: Group):
-        group.check_enumeration_budget()
+        # the walk tests each element against every t: |NC| * |T|, with
+        # |NC| from the closed form
+        group.check_budget("NC walk", fuss_catalan(group.spec, 1)
+                           * group.num_reflections)
         car = group.carrier
         n = group.rank
         # [1, c] is graded and downward closed, so the walk down from c by

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,8 +144,32 @@ def test_exit_code_usage_errors(capsys):
 
 
 def test_exit_code_budget(capsys):
-    assert run_cli(capsys, "count", "E8", "red")[0] == 3
+    assert run_cli(capsys, "count", "A12", "red")[0] == 3
     assert run_cli(capsys, "verify", "E7", "--budget", "10")[0] == 3
+
+
+@pytest.mark.parametrize("group,phase", [
+    ("G(2000,1,2)", "carrier"), ("I2(9999)", "carrier"), ("A12", "NC walk"),
+    ("A3000", "carrier")])
+def test_over_budget_exits_before_the_work(group, phase):
+    # the predicted size is checked before the phase starts
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ncfact.cli", "verify",
+                           group], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert f"budget exceeded: {group}: {phase} needs" in proc.stderr
+
+
+def test_default_budget_admits_e8_and_the_whole_g_d_1_2(capsys):
+    # |NC| * |T| = 25080 * 120 for E8, and G(500,1,2)'s rank-2 parabolic
+    # is all of W (order 500000), never listed
+    code, out, _ = run_cli(capsys, "count", "E8", "red")
+    assert code == 0 and "red: 37968750" in out
+    code, out, _ = run_cli(capsys, "verify", "G(500,1,2)")
+    assert code == 0 and "| G(500,1,2) | 500 | 1000 | 4 | 500 | 1 |" in out
 
 
 @pytest.mark.parametrize("argv", [("verify", "A3"), ("count", "A3", "red"),

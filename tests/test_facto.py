@@ -7,12 +7,14 @@ import pytest
 
 from ncfact import build_group, build_nc, kernels
 from ncfact.errors import BudgetExceeded, IndexOutOfRange, NotLengthTwo
-from ncfact.facto import (concatenation_fibers, count_fact_by_composition,
-                          count_fact_k, count_reduced, derived_degree,
+from ncfact.facto import (Factorization, concatenation_fibers,
+                          count_fact_by_composition, count_fact_k,
+                          count_reduced, derived_degree,
                           enumerate_by_composition, enumerate_reduced,
                           hurwitz_move, hurwitz_orbit, make_factorization,
                           r_lambda, submaximal_by_class)
 from ncfact.groups import Group
+from oracle import reflection_length
 
 
 def _compositions(n):
@@ -90,7 +92,7 @@ def test_r_lambda_is_atom_count(group_of, nc_of):
         if nc.rank_of(w) != 2:
             continue
         atoms = [r for r in g.reflections
-                 if g.reflection_length(g.multiply(g.inverse(r), w)) == 1]
+                 if reflection_length(g, g.multiply(g.inverse(r), w)) == 1]
         assert r_lambda(g, w) == len(atoms)
     with pytest.raises(NotLengthTwo):
         r_lambda(g, g.coxeter)
@@ -153,7 +155,7 @@ def _reducible_by_closure(g, w):
     """The rule reducibility used to be computed by: every reflection of
     the parabolic generated by the atoms of w commutes with every other."""
     atoms = [t.perm for t in g.reflections
-             if g.reflection_length(g.multiply(g.inverse(t), w)) == 1]
+             if reflection_length(g, g.multiply(g.inverse(t), w)) == 1]
     refls = [x for x in kernels.bfs_lengths(atoms)
              if x in g.carrier.refl_set]
     return all(kernels.compose(a, b) == kernels.compose(b, a)
@@ -209,6 +211,32 @@ def test_make_factorization_validates(group_of, nc_of):
         make_factorization(g, [g.coxeter, g.coxeter])
     with pytest.raises(ValueError):
         make_factorization(g, [g.reflections[0]])
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G(3,1,3)"])
+def test_make_factorization_accepts_and_rejects(group_of, nc_of, name):
+    # accepted: Red(c), every (2,1,..,1) factorization and [c]
+    g = group_of(name)
+    nc = nc_of(name)
+    reduced = enumerate_reduced(nc)
+    accepted = reduced + enumerate_by_composition(
+        nc, (2,) + (1,) * (g.rank - 2)) + [Factorization((g.coxeter,))]
+    for fact in accepted:
+        assert make_factorization(g, fact.factors) == fact
+    # rejected: products other than c, identity factors, and product c
+    # with lengths summing to n + 2
+    for fact in reduced:
+        for bad in (fact.factors[:-1], fact.factors[1:],
+                    fact.factors + (g.identity,),
+                    (g.identity,) + fact.factors):
+            with pytest.raises(ValueError):
+                make_factorization(g, bad)
+    for t in g.reflections:
+        for bad in ((t, g.inverse(t), g.coxeter), (g.coxeter, t, g.inverse(t)),
+                    (t, g.coxeter, g.inverse(g.multiply(
+                        g.inverse(g.coxeter), g.multiply(t, g.coxeter))))):
+            with pytest.raises(ValueError):
+                make_factorization(g, bad)
 
 
 def test_hurwitz_move_braid_relations(group_of, nc_of):

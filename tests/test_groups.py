@@ -10,6 +10,8 @@ from ncfact import kernels
 from ncfact.errors import (BudgetExceeded, NotInNC, NotLengthTwo,
                            RankTooSmall)
 from ncfact.groups import Element, build_group
+from oracle import (absolute_leq, elements, parabolic_degrees_by_closure,
+                    reflection_length)
 
 
 def test_multiply_convention_symmetric_group(group_of):
@@ -41,36 +43,36 @@ def test_length_via_brute_products(group_of):
             frontier = nxt
         assert len(found) == g.spec.order
         for w, length in found.items():
-            assert g.reflection_length(w) == length
+            assert reflection_length(g, w) == length
 
 
 def test_length_equals_codim_for_real_types(group_of):
     for name in ("A3", "B3"):
         g = group_of(name)
-        for w in g.elements():
-            assert g.reflection_length(w) == g.fixed_space_codim(w)
+        for w in elements(g):
+            assert reflection_length(g, w) == g.fixed_space_codim(w)
 
 
 def test_coxeter_element_properties(group_of):
     for name in ("A4", "B3", "D4", "G(3,1,3)", "G(4,4,3)", "H3", "F4"):
         g = group_of(name)
         assert g.element_order(g.coxeter) == g.spec.h
-        assert g.reflection_length(g.coxeter) == g.rank
+        assert reflection_length(g, g.coxeter) == g.rank
         assert g.fixed_space_codim(g.coxeter) == g.rank
 
 
 def test_absolute_order_axioms_sampled(group_of):
     g = group_of("B3")
-    elems = list(g.elements())
+    elems = list(elements(g))
     sample = elems[::7]
     for u in sample:
-        assert g.absolute_leq(u, u)
+        assert absolute_leq(g, u, u)
         for v in sample:
-            if g.absolute_leq(u, v) and g.absolute_leq(v, u):
+            if absolute_leq(g, u, v) and absolute_leq(g, v, u):
                 assert u == v
     c = g.coxeter
     for r in g.reflections:
-        assert g.absolute_leq(r, c)  # atoms of NC are all reflections
+        assert absolute_leq(g, r, c)  # atoms of NC are all reflections
 
 
 def test_conjugacy_class_id(group_of):
@@ -106,10 +108,10 @@ def test_parabolic_errors(group_of):
     with pytest.raises(NotLengthTwo):
         g.parabolic_degrees(g.reflections[0])
     # a length-2 element that is not below c
-    nc_perms = {w.perm for w in g.elements()
-                if g.reflection_length(w) == 2 and g.absolute_leq(w, g.coxeter)}
-    outside = next(w for w in g.elements()
-                   if g.reflection_length(w) == 2 and w.perm not in nc_perms)
+    nc_perms = {w.perm for w in elements(g) if reflection_length(g, w) == 2
+                and absolute_leq(g, w, g.coxeter)}
+    outside = next(w for w in elements(g)
+                   if reflection_length(g, w) == 2 and w.perm not in nc_perms)
     with pytest.raises(NotInNC):
         g.parabolic_degrees(outside)
     with pytest.raises(RankTooSmall):
@@ -141,7 +143,7 @@ def test_element_foreign_tag_rejected(group_of):
 def test_elements_iteration_matches_order(group_of):
     for name in ("A2", "I2(7)", "G(3,3,3)"):
         g = group_of(name)
-        elems = list(g.elements())
+        elems = list(elements(g))
         assert len(elems) == g.spec.order
         assert len({w.perm for w in elems}) == g.spec.order
 
@@ -179,14 +181,14 @@ def test_wide_carrier_int16_path(group_of):
     g = group_of("I2(150)")
     assert len(kernels.unpack(g.coxeter.perm)) == 300
     assert g.element_order(g.coxeter) == 150
-    assert g.reflection_length(g.coxeter) == 2
+    assert reflection_length(g, g.coxeter) == 2
     assert len(g.reflections) == 150
 
 
 def test_reflections_are_length_one(group_of):
     g = group_of("G(3,1,3)")
     for r in g.reflections:
-        assert g.reflection_length(r) == 1
+        assert reflection_length(g, r) == 1
         assert g.fixed_space_codim(r) == 1
 
 
@@ -198,14 +200,20 @@ ORDER_GROUPS = ("A1", "A5", "B4", "D2", "D5", "I2(7)", "I2(150)",
 
 @pytest.mark.parametrize("name", ORDER_GROUPS)
 def test_schreier_sims_order_of_gens(name):
-    g = build_group(name)  # the carrier alone needs no budget
+    g = build_group(name)  # |T| * points is far under the default budget
     gens = g.carrier.gens
-    assert kernels.schreier_sims_order(gens) == g.spec.order
-    # every generator is needed: without it the order drops
+    order, contains = kernels.schreier_sims(gens)
+    assert order == g.spec.order
+    assert contains(g.carrier.coxeter)
+    assert all(contains(t) for t in g.carrier.refl_perms)
+    # every generator is needed: without it the order drops, and the
+    # chain of the rest misses it
     if len(gens) > 1:
         for k in range(len(gens)):
             rest = gens[:k] + gens[k + 1:]
-            assert kernels.schreier_sims_order(rest) < g.spec.order
+            order, contains = kernels.schreier_sims(rest)
+            assert order < g.spec.order
+            assert not contains(gens[k])
 
 
 @pytest.mark.parametrize("name", ["B3", "G(3,1,3)", "G(4,1,2)", "G(5,1,1)"])
@@ -219,3 +227,43 @@ def test_gd1n_coxeter_element(name):
     assert g.coxeter.perm == bytes(images)
     assert g.carrier.gens[0] == bytes(
         i * d + (k + (i == 0)) % d for i in range(n) for k in range(d))
+
+
+# the rank-2 NC elements of these groups cover every parabolic type the
+# carriers produce: real, G(d,1,n), G(e,e,n) and wide dihedral ones
+PARABOLIC_GROUPS = (
+    "A3", "A5", "A8", "B3", "B4", "D4", "D5", "D7", "H3", "F4", "H4", "E6",
+    "E7", "I2(5)", "I2(150)", "G(3,1,3)", "G(3,1,4)", "G(4,1,3)", "G(5,1,3)",
+    "G(6,1,3)", "G(3,1,5)", "G(3,1,6)", "G(4,1,4)", "G(5,1,2)", "G(20,1,2)",
+    "G(3,3,3)", "G(3,3,4)", "G(4,4,3)", "G(4,4,4)", "G(4,4,5)", "G(5,5,4)",
+    "G(6,6,3)", "G(7,7,4)")
+
+
+@pytest.mark.parametrize("name", PARABOLIC_GROUPS)
+def test_parabolic_degrees_match_closure_oracle(nc_of, name):
+    # N from the Schreier-Sims chain against N from the BFS closure, on
+    # every rank-2 element of NC
+    nc = nc_of(name)
+    g = nc.group
+    for w, r in zip(nc.elements, nc.ranks):
+        if r == 2:
+            atoms = g.reflections_below(w)
+            assert (g.parabolic_degrees_of_atoms(atoms)
+                    == parabolic_degrees_by_closure(g, atoms)), w
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "H3", "A4", "I2(5)", "G(3,1,3)",
+                                  "G(4,1,3)", "G(3,3,3)", "G(4,4,3)",
+                                  "G(3,3,4)", "F4"])
+def test_length_two_test_matches_length_table(group_of, name):
+    # w not in {1} u T with an atom has l_R(w) = 2, on all of W; its atoms
+    # are the t with l_R(t^-1 w) = 1
+    g = group_of(name)
+    for w in elements(g):
+        if reflection_length(g, w) == 2:
+            assert g.reflections_below(w) == [
+                t.perm for t in g.reflections
+                if reflection_length(g, g.multiply(g.inverse(t), w)) == 1]
+        else:
+            with pytest.raises(NotLengthTwo):
+                g.reflections_below(w)

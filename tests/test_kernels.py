@@ -205,3 +205,25 @@ def test_leq_rows_wide_poset(k):
     rows = k.leq_rows(members, ranks, dict(lengths))
     ident_row = rows[0]
     assert ident_row == (1 << 120) - 1  # identity is below everything
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "G(3,1,3)", "G(4,4,3)"])
+def test_schreier_sims_membership_matches_closure(k, group_of, name):
+    # on every element of W, for subgroups generated by a few reflections
+    car = group_of(name).carrier
+    everything = k.bfs_lengths(car.refl_perms)
+    rng = random.Random(name)
+    for size in (1, 2, 2, 3):
+        gens = rng.sample(car.refl_perms, size)
+        closure = k.bfs_lengths(gens)
+        order, contains = k.schreier_sims(gens)
+        assert order == len(closure)
+        assert [contains(x) for x in everything] == [
+            x in closure for x in everything]
+
+
+def test_conj_orbit_cap(k):
+    four_cycle = _perm([1, 2, 3, 0], 4)
+    with pytest.raises(BudgetExceeded):
+        k.conj_orbit(four_cycle, _s4_transpositions(), cap=5)
+    assert len(k.conj_orbit(four_cycle, _s4_transpositions(), cap=6)) == 6

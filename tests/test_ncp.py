@@ -14,6 +14,7 @@ from ncfact.families import parse_group
 from ncfact.groups import Element
 from ncfact.ncp import count_multichains, fuss_catalan, strata_codim2
 from ncfact.rootdata import build_root_system
+from oracle import absolute_leq, elements, reflection_length
 
 # |NC(W)| = prod (d_i + h)/d_i, all independently recomputable by hand
 NC_SIZES = {
@@ -54,15 +55,15 @@ def test_leq_matches_group_order(nc_of):
     g = nc.group
     for u in nc.elements:
         for v in nc.elements:
-            assert nc.leq(u, v) == g.absolute_leq(u, v)
+            assert nc.leq(u, v) == absolute_leq(g, u, v)
 
 
 def test_leq_rejects_foreign_elements(nc_of):
     nc = nc_of("A3")
     g = nc.group
-    outside = next(w for w in g.elements()
-                   if g.reflection_length(w) == 2
-                   and not g.absolute_leq(w, g.coxeter))
+    outside = next(w for w in elements(g)
+                   if reflection_length(g, w) == 2
+                   and not absolute_leq(g, w, g.coxeter))
     with pytest.raises(NotInNC):
         nc.index_of(outside)
 
@@ -211,9 +212,9 @@ def test_class_ids_only_for_rank_two(monkeypatch):
     seeds = []
     real = kernels.conj_orbit
 
-    def spy(seed, gens):
+    def spy(seed, gens, cap=None):
         seeds.append(seed)
-        return real(seed, gens)
+        return real(seed, gens, cap)
 
     monkeypatch.setattr(kernels, "conj_orbit", spy)
     for name in ("B3", "D4", "G(3,1,3)"):
@@ -222,7 +223,7 @@ def test_class_ids_only_for_rank_two(monkeypatch):
         assert not seeds
         submaximal_by_class(nc)
         assert seeds
-        assert all(g.reflection_length(Element(g.name, p)) == 2
+        assert all(reflection_length(g, Element(g.name, p)) == 2
                    for p in seeds)
         seeds.clear()
 
@@ -310,10 +311,7 @@ def _k_part_compositions(n, k):
 @pytest.mark.parametrize("name", ORACLE_GROUPS + ("E7",))
 def test_fact_k_lanes_match_compositions(nc_of, name):
     # the one lane pass against a transfer DP per composition
-    if name == "E7":
-        nc = build_nc(build_group(name, budget=3_000_000))
-    else:
-        nc = nc_of(name)
+    nc = nc_of(name)
     n = nc.group.rank
     lanes = fact_counts(nc)
     assert len(lanes) == n + 1

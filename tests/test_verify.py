@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from ncfact import build_group, build_nc, facto, ncp, verify
+from ncfact import build_group, build_nc, facto, kernels, ncp, verify
+from ncfact.cli import main as cli_main
+from ncfact.facto import make_factorization, r_lambda, submaximal_by_class
 from ncfact.families import parse_group
-from ncfact.groups import Group
+from ncfact.groups import Element, Group
 from ncfact.verify import run_verify
 
 # the groups of the benchmark's verify workload
@@ -86,13 +88,36 @@ def test_multichain_checks_take_one_transfer_per_p(monkeypatch):
     assert transfers(16) - transfers(8) == 8
 
 
+def _one_reduced(nc):
+    """The factors of one maximal chain of NC, walked down from c."""
+    j, factors = nc.size - 1, []
+    while j:
+        i = nc.below(j, range(1, 2))[0]
+        factors.append(Element(nc.group.name, kernels.compose(
+            kernels.inverse(nc.perms[i]), nc.perms[j])))
+        j = i
+    return factors[::-1]
+
+
 @pytest.mark.parametrize("name", BENCH_GROUPS)
-def test_verify_never_builds_the_length_table(monkeypatch, name):
-    # NC(W, c) comes from the carrier's cover test and |W| from
-    # Schreier-Sims, so no run lists W
-    def refuse(self):
-        raise AssertionError(f"{self.name}: length table requested")
+def test_verify_never_builds_the_length_table(monkeypatch, capsys, name):
+    # NC(W, c) comes from the carrier's cover test, |W| and the parabolic
+    # degrees from Schreier-Sims and the length-2 test from T, so no
+    # command or public helper lists W or a subgroup
+    def refuse(*args):
+        raise AssertionError(f"{name}: a group is listed")
 
     monkeypatch.setattr(Group, "length_table", refuse)
-    build_nc(build_group(name))
+    monkeypatch.setattr(kernels, "bfs_lengths", refuse)
+    monkeypatch.setattr(kernels, "leq_rows", refuse)
     assert run_verify(parse_group(name)).passed
+    for argv in (["count", name, "red"], ["count", name, "by-class"],
+                 ["table", name]):
+        assert cli_main(argv) == 0
+    capsys.readouterr()
+    g = build_group(name)
+    nc = build_nc(g)
+    make_factorization(g, _one_reduced(nc))
+    for row in submaximal_by_class(nc):
+        assert r_lambda(g, row.representative) == row.r
+        assert g.parabolic_degrees(row.representative) == row.parabolic

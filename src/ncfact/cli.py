@@ -22,19 +22,26 @@ an exclusive lock on the sidecar file PATH.lock while it reads, computes
 and stores, so concurrent runs keep each other's entries, and a file that
 does not parse as a cache is left as it is: the run recomputes and says so
 on stderr.
+
+Run as a script (`python3 -m ncfact.cli`), the process ends with
+os._exit(code) once main() has returned and stdout and stderr are flushed.
+That skips the interpreter's teardown of modules and objects, 10-20 ms a
+run, which nothing needs: the cache file and its lock are closed by then.
+If a flush fails, e.g. on a closed pipe, the run leaves through SystemExit
+instead, and the interpreter reports the failure as it always did.  main()
+itself just returns, so callers in the same process see no difference.
+The stdlib modules that only some runs need (csv, hashlib, tempfile) are
+imported by the functions that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
 import io
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -212,6 +219,7 @@ def render_md(command: str, payload: dict) -> str:
 
 
 def render_csv(payload: dict) -> str:
+    import csv  # only csv output needs it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if payload["checks"]:
@@ -252,6 +260,7 @@ def _cache_load(path: str) -> Optional[dict]:
 
 
 def _cache_store(path: str, cache: dict) -> None:
+    import tempfile  # only a cache miss stores
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".ncfact-cache-", dir=directory)
     try:
@@ -270,6 +279,7 @@ def _cache_store(path: str, cache: dict) -> None:
 @functools.cache
 def _source_digest() -> str:
     """sha256 over the package's *.py and data/*.json files, sorted by path."""
+    import hashlib  # only --cache keys need it
     package = Path(__file__).resolve().parent
     files = sorted([*package.rglob("*.py"),
                     *(package / "data").glob("*.json")])
@@ -423,4 +433,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    code = main()
+    # fast exit: once both streams are flushed nothing is left to release
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BaseException:
+        raise SystemExit(code)
+    os._exit(code)

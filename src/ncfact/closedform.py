@@ -10,15 +10,13 @@ machine-readable export, but no group construction uses them.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ncfact.errors import NonIntegerResult, NoTableRow, RankTooSmall
 from ncfact.families import GroupSpec
@@ -103,17 +101,17 @@ def _table() -> List[dict]:
     pairs; u evaluating to zero means the class is absent at that parameter.
     Reference rows carry their degrees so row-level identities remain
     checkable."""
-    text = resources.files("ncfact").joinpath("data/ll_table.json").read_text()
-    return json.loads(text)
+    path = Path(__file__).resolve().parent / "data" / "ll_table.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def table_records() -> List[dict]:
     """The bundled table as JSON-ready records, a fresh copy on each call."""
+    import copy  # only the family table and the export need a copy
     return copy.deepcopy(_table())
 
 
-@dataclass(frozen=True)
-class ExpectedRow:
+class ExpectedRow(NamedTuple):
     """A table row instantiated at concrete parameters; zero-u entries
     dropped.  counts[i] = prefactor * (rank - 1) * entries[i].u."""
 

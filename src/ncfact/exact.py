@@ -8,16 +8,15 @@ there are no floats and no fractions anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Golden:
+class Golden(NamedTuple):
     """a + b*phi with phi the golden ratio, phi^2 = phi + 1.
 
-    The order is lexicographic in (a, b): a deterministic total order for
-    canonical root indexing, not the order of the real numbers.
+    The order is lexicographic in (a, b), the tuple order: a deterministic
+    total order for canonical root indexing, not the order of the real
+    numbers.  The arithmetic operators replace the tuple ones.
     """
 
     a: int

@@ -14,39 +14,58 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ncfact import kernels
 from ncfact.errors import IndexOutOfRange, NonIntegerResult, RankTooSmall
-from ncfact.groups import Element, Group
+from ncfact.groups import ClassId, Element, Group
 from ncfact.ncp import NcClass, NcPoset, build_nc, strata_codim2, transfer
 
 # the rank jumps of a cover
 COVER = range(1, 2)
 
 
-@dataclass(frozen=True)
 class Factorization:
-    """Tuple of factors; build validated instances via make_factorization."""
+    """Tuple of factors; build validated instances via make_factorization.
+    Equal, and hashed alike, iff the factors are."""
 
-    factors: Tuple[Element, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: Tuple[Element, ...]):
+        self.factors = factors
 
     def __len__(self) -> int:
         return len(self.factors)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
 
-@dataclass(frozen=True)
-class LLRow(NcClass):
-    """A codimension-2 stratum plus its submaximal factorization data."""
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
+    def __repr__(self) -> str:
+        return f"Factorization(factors={self.factors!r})"
+
+
+class LLRow(NamedTuple):
+    """A codimension-2 stratum (the fields of `ncp.NcClass`, first) plus
+    its submaximal factorization data."""
+
+    class_id: ClassId
+    rank: int
+    representative: Element
+    members: Tuple[int, ...]
     count: int                 # submaximal factorizations of this type
     r: int                     # pair count |{(r1, r2) : r1 r2 = w}|
     u: int                     # derived degree: count * |W| / ((n-1)! h^(n-1))
     parabolic: Tuple[int, int]  # invariant degrees (d1', h')
     reducible: bool            # parabolic splits into two rank-1 factors
+
+    size_in_nc = NcClass.size_in_nc
 
 
 def make_factorization(g: Group, factors: Iterable[Element]) -> Factorization:
@@ -202,7 +221,7 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
         atoms = g.reflections_below(rep)
         reducible = all(kernels.compose(a, b) == kernels.compose(b, a)
                         for k, a in enumerate(atoms) for b in atoms[k + 1:])
-        rows.append(LLRow(**vars(cls), count=count, r=len(atoms),
+        rows.append(LLRow(*cls, count=count, r=len(atoms),
                           u=derived_degree(g, count),
                           parabolic=g.parabolic_degrees_of_atoms(atoms),
                           reducible=reducible))

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from ncfact.errors import ParseError, UnsupportedGroup
 from ncfact.rootdata import exceptional_degrees
@@ -26,8 +25,7 @@ _RE_G = re.compile(r"^G\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)$",
 _RE_EXC = re.compile(r"^(H3|H4|F4|E6|E7|E8)$", re.IGNORECASE)
 
 
-@dataclass(frozen=True, slots=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Canonical group descriptor.
 
     family: one of A, B, D, I2, GD1N, GEEN, H3, H4, F4, E6, E7, E8.

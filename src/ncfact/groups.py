@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ncfact import kernels
 from ncfact.errors import BudgetExceeded, NotInNC, NotLengthTwo, RankTooSmall
@@ -36,8 +35,7 @@ DEFAULT_BUDGET = 10_000_000
 ClassId = bytes
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
+class Element(NamedTuple):
     """Group element: owning group's canonical name plus its permutation."""
 
     tag: str
@@ -50,8 +48,7 @@ class Element:
         return f"Element({self.tag}, {self.perm.hex()})"
 
 
-@dataclass
-class _Carrier:
+class _Carrier(NamedTuple):
     """A faithful permutation action of W.
 
     gens generate W (checked by the verifier's group-order, a Schreier-Sims
@@ -370,14 +367,9 @@ class Group:
         """Degrees (d1', h') of the rank-2 parabolic the atoms of a rank-2
         element of NC generate; parabolic_degrees without its checks."""
         # A dihedral parabolic has as many atoms as reflections, yet two of
-        # them generate it: an atom becomes a generator only when the
-        # Schreier-Sims chain so far misses it.
-        gens: List[bytes] = []
-        order, contains = 1, frozenset().__contains__
-        for a in atoms:
-            if not contains(a):
-                gens.append(a)
-                order, contains = kernels.schreier_sims(gens)
+        # them generate it: the Schreier-Sims chain skips an atom it
+        # already contains.
+        order, contains = kernels.schreier_sims(atoms)
         # Count reflections of the parabolic, not just the atoms: e.g. the
         # Z3 x A1 parabolic of G(3,1,3) has 3 reflections but only 2 atoms.
         n_r = sum(1 for t in self.carrier.refl_perms if contains(t))

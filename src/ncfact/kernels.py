@@ -59,6 +59,9 @@ def compose(a: bytes, b: bytes) -> bytes:
 
 
 def inverse(a: bytes) -> bytes:
+    if len(a) <= 256:
+        # the table sends a[i] to i; its tail past len(a) is never read
+        return bytes.maketrans(a, _PAD[:len(a)])[:len(a)]
     images = unpack(a)
     out = [0] * len(images)
     for i, img in enumerate(images):
@@ -142,17 +145,24 @@ def schreier_sims(gens: Sequence[bytes]
     through the levels below i is itself a strong generator there.  The
     order is the product of the orbit lengths, and x is a member iff it
     sifts to the identity through every level; gens must be non-empty.
+    The chain grows one generator at a time, and a generator it already
+    contains adds nothing.
     """
     ident = identity(len(unpack(gens[0])))
     base: List[int] = []
     strong: List[List[bytes]] = []
     # trans[l][x] = (u, u^-1) with u(b_l) = x, for x in the orbit of b_l
     trans: List[Dict[int, Tuple[bytes, bytes]]] = []
+    # checked[l]: the (x, k) whose Schreier generator, from trans[l][x] and
+    # strong[l][k], sifts through; a level only gains representatives, so a
+    # sift that passed once passes for good
+    checked: List[set] = []
 
     def add_level(g: bytes) -> None:
         base.append(next(x for x, y in enumerate(unpack(g)) if x != y))
         strong.append([])
         trans.append({})
+        checked.append(set())
 
     def grow(level: int) -> None:
         """Close the transversal of a level under its strong generators;
@@ -160,10 +170,11 @@ def schreier_sims(gens: Sequence[bytes]
         tree = trans[level]
         tree.setdefault(base[level], (ident, ident))
         queue = list(tree)
+        images = [(s, unpack(s)) for s in strong[level]]
         for x in queue:
             u = tree[x][0]
-            for s in strong[level]:
-                y = unpack(s)[x]
+            for s, s_images in images:
+                y = s_images[x]
                 if y not in tree:
                     v = compose(s, u)
                     tree[y] = (v, inverse(v))
@@ -180,37 +191,49 @@ def schreier_sims(gens: Sequence[bytes]
         return g, len(base)
 
     def failing_schreier_generator(i: int) -> Optional[Tuple[bytes, int]]:
-        for u, _ in trans[i].values():
-            for s in strong[i]:
+        done = checked[i]
+        for x, (u, _) in trans[i].items():
+            for k, s in enumerate(strong[i]):
+                if (x, k) in done:
+                    continue
                 su = compose(s, u)
                 v, v_inv = trans[i][unpack(su)[base[i]]]
                 if su != v:
                     h, j = sift(compose(v_inv, su), i + 1)
                     if j < len(base) or h != ident:
                         return h, j
+                done.add((x, k))
         return None
 
-    gens = [g for g in gens if g != ident]
+    def close(i: int) -> None:
+        """Complete levels i, i-1, .., 0, the levels above i being
+        complete: a failing Schreier generator of level i becomes a strong
+        generator of the levels it passes, and the check restarts there."""
+        while i >= 0:
+            found = failing_schreier_generator(i)
+            if found is None:
+                i -= 1
+                continue
+            h, j = found
+            if j == len(base):
+                add_level(h)
+            for level in range(i + 1, j + 1):
+                strong[level].append(h)
+                grow(level)
+            i = j
+
+    # extend the chain by each generator it does not already contain: the
+    # residue h of its sift, failing at level j, fixes b_0 .. b_(j-1)
     for g in gens:
-        if all(unpack(g)[b] == b for b in base):
-            add_level(g)
-    for level in range(len(base)):
-        strong[level] = [g for g in gens
-                         if all(unpack(g)[b] == b for b in base[:level])]
-        grow(level)
-    i = len(base) - 1
-    while i >= 0:
-        found = failing_schreier_generator(i)
-        if found is None:
-            i -= 1
-            continue
-        h, j = found
+        h, j = sift(g, 0)
         if j == len(base):
+            if h == ident:
+                continue
             add_level(h)
-        for level in range(i + 1, j + 1):
+        for level in range(j + 1):
             strong[level].append(h)
             grow(level)
-        i = j
+        close(j)
     order = 1
     for tree in trans:
         order *= len(tree)

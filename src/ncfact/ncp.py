@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from ncfact import kernels
 from ncfact.errors import NonIntegerResult, NotInNC, RankTooSmall
@@ -34,8 +33,7 @@ from ncfact.families import GroupSpec
 from ncfact.groups import ClassId, Element, Group
 
 
-@dataclass(frozen=True)
-class NcClass:
+class NcClass(NamedTuple):
     """A conjugacy class met by NC, at a fixed rank: members are its NC
     indices, increasing, and the representative is the first."""
 

@@ -13,10 +13,9 @@ beta = s_i(gamma), and s_beta = s_i s_gamma s_i is then two composes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ncfact import kernels
 from ncfact.exact import GOLDEN_ONE, GOLDEN_ZERO, Golden, matrix_rank
@@ -24,13 +23,12 @@ from ncfact.exact import GOLDEN_ONE, GOLDEN_ZERO, Golden, matrix_rank
 Vector = Tuple[Golden, ...]
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     name: str
     rank: int
     gram: Tuple[Vector, ...]
     roots: Tuple[Vector, ...]               # sorted, deterministic indexing
-    index: Dict[Vector, int]
+    index: Dict[Vector, int]                # root -> position in roots
     reflection_perms: Tuple[bytes, ...]     # one per root pair, sorted
     simple_perms: Tuple[bytes, ...]         # reflections of the simple roots
     packed: Tuple[int, ...]                 # root i as one int, see _pack
@@ -124,8 +122,8 @@ def _reflect(form: Vector, beta: Vector, x: Vector) -> Vector:
 
 @lru_cache(maxsize=None)
 def _raw_data() -> dict:
-    text = resources.files("ncfact").joinpath("data/groups.json").read_text()
-    return json.loads(text)
+    path = Path(__file__).resolve().parent / "data" / "groups.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def exceptional_degrees(name: str) -> Tuple[int, ...]:

@@ -43,11 +43,9 @@ pass every check that runs under the default budget, in about 0.4 s and
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from . import __version__, kernels
 from .closedform import (deg_discriminant, deg_jacobian, expected_ll_data,
@@ -65,8 +63,7 @@ from .ncp import build_nc, fuss_catalan, transfer
 ORBIT_GATE = 2000
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named comparison; passes iff the rendered values agree."""
 
     name: str
@@ -78,8 +75,7 @@ class Check:
         return self.expected == self.actual
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Verification outcome for one group; JSON-ready via payload()."""
 
     group: str
@@ -129,6 +125,7 @@ def class_label(row: LLRow) -> str:
 
 def row_records(rows: Sequence[LLRow]) -> List[dict]:
     """JSON-ready row records; numbers as decimal strings."""
+    import hashlib  # only class ids need it, and only in these records
     records = []
     for row in rows:
         digest = hashlib.sha256(row.class_id).hexdigest()[:16]

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -296,3 +297,67 @@ def test_console_script_installed():
     assert proc.returncode == 0
     assert "| order | 6 |" in proc.stdout
     assert proc.stderr.startswith("[info ")
+
+
+# `python -m ncfact.cli` flushes stdout and stderr and then leaves through
+# os._exit; these runs unset PYTHONUNBUFFERED, so both streams are
+# block-buffered and only that flush gets the bytes out
+def script_env():
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_script(*argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "ncfact.cli", *argv],
+                          env=script_env(), timeout=120, **kwargs)
+
+
+def _untimed(err):
+    return re.sub(r": \d+\.\d\ds\]$", ": -s]", err, flags=re.M)
+
+
+@pytest.mark.parametrize("fmt", ["md", "json", "csv"])
+def test_script_stdout_matches_main(capsys, tmp_path, fmt):
+    # a pipe and a file get main()'s bytes; info A3000 prints more than
+    # one buffer's worth (3001! has 9,000-odd digits)
+    for argv in (("verify", "A3"), ("count", "B3", "by-class"),
+                 ("table", "G(4,4,3)"), ("table", "GEEN"),
+                 ("info", "A3000")):
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        piped = run_script(*argv, "--format", fmt, capture_output=True)
+        path = tmp_path / "stdout"
+        with open(path, "wb") as fh:
+            filed = run_script(*argv, "--format", fmt, stdout=fh,
+                               stderr=subprocess.DEVNULL)
+        assert piped.returncode == filed.returncode == code, argv
+        assert piped.stdout == path.read_bytes() == out.encode(), argv
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("verify", "A3"), 0), (("info", "Q7"), 2),
+    (("count", "A3", "fact-k"), 2), (("count", "A3", "bogus-kind"), 2),
+    (("verify", "A3", "--budget", "0"), 2),
+    (("verify", "E7", "--budget", "10"), 3), (("count", "A12", "red"), 3)])
+def test_script_exit_codes_and_stderr(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    proc = run_script(*argv, capture_output=True, text=True)
+    assert proc.returncode == code == want
+    assert proc.stdout == out
+    assert _untimed(proc.stderr) == _untimed(err)
+
+
+def test_script_cache_miss_then_hit(tmp_path):
+    # the miss stores through a temp file and a rename before the fast
+    # exit, so the hit replays the same bytes and leaves nothing behind
+    cache = tmp_path / "cache.json"
+    argv = ("verify", "A4", "--format", "json", "--cache", str(cache))
+    miss = run_script(*argv, capture_output=True)
+    stored = json.loads(cache.read_text())
+    hit = run_script(*argv, capture_output=True)
+    assert miss.returncode == hit.returncode == 0
+    assert hit.stdout == miss.stdout
+    assert len(stored) == 1
+    assert json.loads(cache.read_text()) == stored
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cache.json", "cache.json.lock"]

@@ -252,6 +252,19 @@ def test_parabolic_degrees_match_closure_oracle(nc_of, name):
                     == parabolic_degrees_by_closure(g, atoms)), w
 
 
+def test_parabolic_degrees_build_one_chain(monkeypatch):
+    # G(20,1,2)'s rank-2 parabolic is all of W, and the atoms of c go into
+    # one Schreier-Sims chain, which skips the atoms it already holds
+    g = build_group("G(20,1,2)")
+    calls = []
+    real = kernels.schreier_sims
+    monkeypatch.setattr(kernels, "schreier_sims",
+                        lambda gens: calls.append(len(gens)) or real(gens))
+    atoms = g.reflections_below(g.coxeter)
+    assert g.parabolic_degrees_of_atoms(atoms) == (20, 40)
+    assert calls == [len(atoms)]
+
+
 @pytest.mark.parametrize("name", ["B3", "D4", "H3", "A4", "I2(5)", "G(3,1,3)",
                                   "G(4,1,3)", "G(3,3,3)", "G(4,4,3)",
                                   "G(3,3,4)", "F4"])

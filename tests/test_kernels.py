@@ -76,6 +76,20 @@ def test_group_axioms_random(k, npoints):
         assert left == right
 
 
+@pytest.mark.parametrize("npoints", [1, 255, 256, 257, 300])
+def test_inverse_matches_the_loop(k, npoints):
+    # the translate table (<= 256 points) and the struct path, against
+    # out[a[i]] = i point by point
+    rng = random.Random(npoints)
+    for _ in range(20):
+        images = list(range(npoints))
+        rng.shuffle(images)
+        out = [0] * npoints
+        for i, img in enumerate(images):
+            out[img] = i
+        assert k.inverse(_perm(images, npoints)) == _perm(out, npoints)
+
+
 def test_perm_order(k):
     assert k.perm_order(k.identity(4)) == 1
     assert k.perm_order(_perm([1, 0, 2, 3], 4)) == 2
@@ -215,6 +229,26 @@ def test_schreier_sims_membership_matches_closure(k, group_of, name):
     rng = random.Random(name)
     for size in (1, 2, 2, 3):
         gens = rng.sample(car.refl_perms, size)
+        closure = k.bfs_lengths(gens)
+        order, contains = k.schreier_sims(gens)
+        assert order == len(closure)
+        assert [contains(x) for x in everything] == [
+            x in closure for x in everything]
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "G(3,1,3)", "G(4,4,3)"])
+def test_schreier_sims_extends_by_each_generator(k, group_of, name):
+    # the chain grows one generator at a time: on every prefix of a random
+    # reflection sequence with repeats, the identity and products of
+    # earlier terms mixed in, order and membership match the closure
+    car = group_of(name).carrier
+    everything = k.bfs_lengths(car.refl_perms)
+    rng = random.Random(name)
+    gens = [k.identity(car.npoints)]
+    for _ in range(5):
+        gens.append(rng.choice(car.refl_perms))
+        gens.append(rng.choice(gens))
+        gens.append(k.compose(rng.choice(gens), rng.choice(gens)))
         closure = k.bfs_lengths(gens)
         order, contains = k.schreier_sims(gens)
         assert order == len(closure)

@@ -3,11 +3,12 @@
 A block factorization of c is a tuple of non-identity elements whose product
 is c and whose reflection lengths sum to l(c) = rank.  Factorizations with
 composition (l(w_1), ..., l(w_p)) correspond to strict rank-jump chains in
-NC(W, c), so all counting is `ncp.transfer` steps over the materialized
-poset; explicit enumeration is kept alongside as an independent route and
-for the Hurwitz/concatenation checks.  An `LLRow` is a codimension-2
-stratum (`ncp.NcClass`) plus its counts; its r and reducibility come from
-one scan for the reflections below (atoms of) the representative.
+NC(W, c), so counting is passes over the materialized poset (the per-class
+submaximal counts add the Hurwitz action, see `submaximal_by_class`);
+explicit enumeration is kept alongside as an independent route and for the
+Hurwitz/concatenation checks.  An `LLRow` is a codimension-2 stratum
+(`ncp.NcClass`) plus its counts; its r and reducibility come from one scan
+for the reflections below (atoms of) the representative.
 """
 
 from __future__ import annotations
@@ -191,30 +192,24 @@ def derived_degree(g: Group, count: int) -> int:
 
 def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     """Counts of (rank-1)-factor factorizations, split by the conjugacy
-    class of the single length-2 factor; row order matches strata_codim2."""
+    class of the single length-2 factor; row order matches strata_codim2.
+
+    count(C) = (n-1) * sum |Red(q^-1 c)| over the rank-2 q in C and NC: the
+    braid move (t, q) -> (t q t^-1, t) is a bijection that moves the
+    length-2 factor one place left and keeps its class, so each of the n-1
+    places holds as many as the first, where q =< c is followed by a
+    reduced factorization of its Kreweras complement q^-1 c, in NC."""
     g = nc.group
     n = g.rank
     if n < 2:
         raise RankTooSmall("submaximal factorizations need rank >= 2")
-    size = nc.size
-    forward = _cover_paths(nc)
-    # upper covers have higher index, so backward[j] is final when read
-    backward = [0] * size
-    backward[size - 1] = 1
-    for j in range(size - 1, 0, -1):
-        for i in nc.below(j, COVER):
-            backward[i] += backward[j]
-    # weight[q]: submaximal factorizations whose length-2 factor is
-    # element q; the jump-2 pair (i, j) contributes forward[i]*backward[j]
-    inv = [kernels.inverse(p) for p in nc.perms]
-    weight = [0] * size
-    for j in range(size):
-        for i in nc.below(j, range(2, 3)):
-            q = nc.index[kernels.compose(inv[i], nc.perms[j])]
-            weight[q] += forward[i] * backward[j]
+    paths = _cover_paths(nc)
+    c = nc.perms[-1]
     rows = []
     for cls in strata_codim2(nc):
-        count = sum(weight[q] for q in cls.members)
+        complements = (kernels.compose(kernels.inverse(nc.perms[q]), c)
+                       for q in cls.members)
+        count = (n - 1) * sum(paths[nc.index[x]] for x in complements)
         rep = cls.representative
         # the atoms generate the parabolic, which is abelian, i.e. a
         # product of two rank-1 groups, iff they pairwise commute
@@ -225,8 +220,6 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
                           u=derived_degree(g, count),
                           parabolic=g.parabolic_degrees_of_atoms(atoms),
                           reducible=reducible))
-    if sum(row.count for row in rows) != sum(weight):
-        raise AssertionError("quotients outside the rank-2 strata")
     return rows
 
 

@@ -216,8 +216,8 @@ def _carrier_root(name: str) -> _Carrier:
 class Group:
     """A well-generated reflection group; immutable after construction.
 
-    The carrier (reflection permutations, Coxeter element) builds lazily on
-    first access; budget bounds the predicted size of every phase.
+    The carrier (reflection permutations, Coxeter element) and NC(W, c)
+    build on first request; budget bounds the predicted size of every phase.
     """
 
     def __init__(self, spec: GroupSpec, budget: Optional[int] = None):
@@ -234,6 +234,7 @@ class Group:
         # takes its len after every build_nc
         self._lengths: Dict[bytes, int] = {}
         self._class_ids: Dict[bytes, ClassId] = {}
+        self._nc = None  # NC(W, c), built by ncp.build_nc on first request
 
     def __repr__(self) -> str:
         return f"Group({self.name})"

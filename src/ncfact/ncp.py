@@ -139,7 +139,10 @@ class NcPoset:
 
 
 def build_nc(group: Group) -> NcPoset:
-    return NcPoset(group)
+    """NC(W, c) of group: walked on the first call, the same poset after."""
+    if group._nc is None:
+        group._nc = NcPoset(group)
+    return group._nc
 
 
 def fuss_catalan(spec: GroupSpec, p: int) -> int:

@@ -20,8 +20,9 @@ Check inventory, in order:
                          the two agree) vs. n! h^n / |W|
   factorization-binomial-p*   sum_k C(p+1,k)|fact_k| (one lane pass over the
                          strict relation) vs. Fuss-Catalan
-  submax-total           per-class sum vs. the closed submaximal total
-  submax-dp-agrees       per-class sum vs. the strict-chain DP
+  submax-total           per-class sum ((n-1) sum |Red(q^-1 c)|, by the
+                         Hurwitz shift) vs. the closed submaximal total
+  submax-dp-agrees       per-class sum vs. fact_{n-1} of the lane pass
   degree-sum-r-u         sum r*u vs. n(n-1)h
   degree-sum-u           sum u vs. n(n-1)h - deg J
   r-ll-class*            r vs. the rank-2 LL number of the parabolic
@@ -37,8 +38,8 @@ No check lists W or a subgroup: NC(W, c) comes from the carrier's cover
 test (see ncp) and the parabolic degrees from a Schreier-Sims chain, so the
 cost follows |NC|*|T|.  The exhaustive fiber and Hurwitz checks only run
 when |Red(c)| <= ORBIT_GATE; everything else is DP-based, and E7 and E8
-pass every check that runs under the default budget, in about 0.4 s and
-2.6 s on a 2-vCPU Xeon VM.
+pass every check that runs under the default budget, in 0.3-0.5 s and
+2.3-2.7 s on a 2-vCPU Xeon VM.
 """
 
 from __future__ import annotations

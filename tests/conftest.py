@@ -1,8 +1,9 @@
-"""Shared fixtures: session-cached groups and NC posets.
+"""Shared fixtures: session-cached groups and their NC posets.
 
 Group construction (root systems, and the BFS length tables the oracle
-tests build) is the expensive part of most tests, so both factories memoize
-per group name for the session.
+tests build) is the expensive part of most tests, so `group_of` memoizes
+per group name for the session; a group keeps its own NC(W, c), so
+`nc_of` asks `build_nc` for it.
 """
 
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from ncfact import build_group, build_nc
 
 _GROUPS = {}
-_NCS = {}
 
 
 @pytest.fixture(scope="session")
@@ -25,9 +25,7 @@ def group_of():
 @pytest.fixture(scope="session")
 def nc_of(group_of):
     def get(name):
-        if name not in _NCS:
-            _NCS[name] = build_nc(group_of(name))
-        return _NCS[name]
+        return build_nc(group_of(name))
     return get
 
 

@@ -1,17 +1,20 @@
-"""Test oracles that list a whole group or subgroup.
+"""Test oracles: routes the library used to take, kept to check it.
 
 The library never lists W: NC(W, c) comes from the carrier's cover test,
 the rank-2 parabolic degrees from a Schreier-Sims chain, and the length-2
-test from T.  These helpers keep the listing routes the library used to
-take, over `Group.length_table()` (a BFS over all of W) or a BFS closure,
-so tests can check the library against them.
+test from T.  Most helpers here keep the listing routes the library used to
+take, over `Group.length_table()` (a BFS over all of W) or a BFS closure.
+`submaximal_counts_by_pairs` keeps the per-class submaximal counts by a
+forward and a backward cover pass over every jump-2 pair of NC.
 """
 
 import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ncfact import kernels
-from ncfact.groups import Element, Group
+from ncfact.facto import COVER, _cover_paths
+from ncfact.groups import ClassId, Element, Group
+from ncfact.ncp import NcPoset, strata_codim2
 
 
 def elements(g: Group) -> Iterator[Element]:
@@ -47,3 +50,30 @@ def parabolic_degrees_by_closure(g: Group, atoms: Sequence[bytes]
     root = math.isqrt(s * s - 4 * len(seen))
     assert root * root == s * s - 4 * len(seen)
     return (s - root) // 2, (s + root) // 2
+
+
+def submaximal_counts_by_pairs(nc: NcPoset) -> Dict[ClassId, int]:
+    """Submaximal factorizations per class of the length-2 factor: the
+    jump-2 pair (i, j) of NC, with quotient q = i^-1 j, contributes the
+    maximal chains up to i times those from j to c."""
+    size = nc.size
+    forward = _cover_paths(nc)
+    # upper covers have higher index, so backward[j] is final when read
+    backward = [0] * size
+    backward[size - 1] = 1
+    for j in range(size - 1, 0, -1):
+        for i in nc.below(j, COVER):
+            backward[i] += backward[j]
+    # weight[q]: submaximal factorizations whose length-2 factor is
+    # element q; the jump-2 pair (i, j) contributes forward[i]*backward[j]
+    inv = [kernels.inverse(p) for p in nc.perms]
+    weight = [0] * size
+    for j in range(size):
+        for i in nc.below(j, range(2, 3)):
+            q = nc.index[kernels.compose(inv[i], nc.perms[j])]
+            weight[q] += forward[i] * backward[j]
+    counts = {cls.class_id: sum(weight[q] for q in cls.members)
+              for cls in strata_codim2(nc)}
+    if sum(counts.values()) != sum(weight):
+        raise AssertionError("quotients outside the rank-2 strata")
+    return counts

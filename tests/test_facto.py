@@ -13,8 +13,11 @@ from ncfact.facto import (Factorization, concatenation_fibers,
                           enumerate_by_composition, enumerate_reduced,
                           hurwitz_move, hurwitz_orbit, make_factorization,
                           r_lambda, submaximal_by_class)
+from ncfact.families import parse_group
 from ncfact.groups import Group
-from oracle import reflection_length
+from ncfact.ncp import NcPoset
+from oracle import reflection_length, submaximal_counts_by_pairs
+from test_ncp import ORACLE_GROUPS
 
 
 def _compositions(n):
@@ -183,9 +186,51 @@ def test_row_counts_sum_to_fact_n_minus_1(nc_of):
                 == count_fact_k(nc, nc.group.rank - 1))
 
 
+@pytest.mark.parametrize("name", [
+    name for name in ORACLE_GROUPS + ("E7", "E8")
+    if parse_group(name).rank >= 2])
+def test_submaximal_counts_match_pair_oracle(nc_of, name):
+    # the Hurwitz-shift count against the forward/backward jump-2 pair scan
+    nc = nc_of(name)
+    assert ({row.class_id: row.count for row in submaximal_by_class(nc)}
+            == submaximal_counts_by_pairs(nc))
+
+
+def test_submaximal_by_class_reads_covers_only(monkeypatch, nc_of):
+    # one cover pass; no scan over the jump-2 pairs of NC
+    jumps = set()
+    real = NcPoset.below
+
+    def spy(self, j, jump_range):
+        jumps.add(jump_range)
+        return real(self, j, jump_range)
+
+    monkeypatch.setattr(NcPoset, "below", spy)
+    submaximal_by_class(nc_of("D5"))
+    assert jumps == {range(1, 2)}
+
+
+def test_one_nc_walk_per_group(monkeypatch):
+    walks = []
+    real = NcPoset.__init__
+
+    def spy(self, group):
+        walks.append(group.name)
+        real(self, group)
+
+    monkeypatch.setattr(NcPoset, "__init__", spy)
+    g = build_group("B3")
+    nc = build_nc(g)
+    assert build_nc(g) is nc
+    for row in submaximal_by_class(nc):
+        assert g.parabolic_degrees(row.representative) == row.parabolic
+    make_factorization(g, [g.coxeter])
+    assert walks == ["B3"]
+
+
 def test_per_position_symmetry(nc_of):
     # every placement of the length-2 block yields the same class counts
-    for name in ("A4", "B3", "D4", "G(3,3,3)"):
+    for name in ("A4", "B3", "D4", "G(3,3,3)", "G(3,1,3)", "G(4,4,3)"):
         nc = nc_of(name)
         g = nc.group
         n = g.rank

@@ -1,15 +1,15 @@
 """Command-line surface: verify identities, emit counts, reproduce tables.
 
-Subcommands
-    info GROUP              degrees, h, |W|, reflection count, Catalan and
-                            LL numbers, discriminant/Jacobian degrees
-    verify GROUP            run the full identity suite (see verify module)
-    count GROUP KIND [ARG]  red | fact-k K | composition c1,c2,... | by-class
-    table GROUP-OR-FAMILY   expected per-class row next to the enumerated one
+The subcommands are info, verify, count and table; `HELP` below is the one
+help text of the CLI: `-h` prints it, a usage error prints its usage line
+for the command, and README's "Command line" section describes the same
+grammar.  Exit codes: 0 all checks pass, 1 a check failed, 2 parse/usage
+error, 3 work budget exceeded (before the phase starts).
 
-Common flags: --format md|json|csv, --budget N, --cache PATH, --no-cache,
-and --p-max for verify.  Exit codes: 0 all checks pass, 1 a check failed,
-2 parse/usage error, 3 work budget exceeded (before the phase starts).
+The argv parser is table-driven (`_OPTIONS`, `_COMMANDS`, `_CHOICES`) and
+reads a command line as argparse did; tests/oracle.py keeps the argparse
+parser, and a property test checks that the two agree.  argparse itself
+cost every run about 7 ms to import (with gettext and locale) and to build.
 
 Output on stdout is byte-identical across runs for the same inputs and
 version: report payloads carry numbers as decimal strings, key order is
@@ -30,20 +30,25 @@ run, which nothing needs: the cache file and its lock are closed by then.
 If a flush fails, e.g. on a closed pipe, the run leaves through SystemExit
 instead, and the interpreter reports the failure as it always did.  main()
 itself just returns, so callers in the same process see no difference.
-The stdlib modules that only some runs need (csv, hashlib, tempfile) are
-imported by the functions that use them.
+Modules that only some runs need load in the functions that use them: csv
+(csv output), tempfile (a cache miss), fcntl (--cache), copy (the family
+table), fractions (verify and table, where a value can be rational), and
+CPython's own SHA-256 module (class ids and the cache key; `verify.sha256`,
+which loads hashlib, and with it OpenSSL, only when that module is
+missing).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -58,7 +63,7 @@ from .families import GroupSpec, parse_group
 from .groups import build_group
 from .ncp import build_nc, fuss_catalan
 from .verify import (Check, Report, make_meta, row_records, run_verify,
-                     table_rows_check)
+                     sha256, table_rows_check)
 
 _USAGE_ERRORS = (ParseError, UnsupportedGroup, RankTooSmall, NotLengthTwo,
                  NotInNC, IndexOutOfRange)
@@ -265,8 +270,9 @@ def _cache_store(path: str, cache: dict) -> None:
     fd, tmp = tempfile.mkstemp(prefix=".ncfact-cache-", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # compact, so json's C encoder writes it; the payloads replay
+            # the same either way
+            fh.write(json.dumps(cache, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -279,11 +285,10 @@ def _cache_store(path: str, cache: dict) -> None:
 @functools.cache
 def _source_digest() -> str:
     """sha256 over the package's *.py and data/*.json files, sorted by path."""
-    import hashlib  # only --cache keys need it
     package = Path(__file__).resolve().parent
     files = sorted([*package.rglob("*.py"),
                     *(package / "data").glob("*.json")])
-    digest = hashlib.sha256()
+    digest = sha256()
     for path in files:
         data = path.read_bytes()
         digest.update(f"{path.relative_to(package).as_posix()}\0{len(data)}\0"
@@ -316,61 +321,213 @@ def _with_cache(key: str, path: Optional[str], compute) -> dict:
         return payload
 
 
-# --------------------------------------------------------------- arg plumbing
+# ------------------------------------------------------------- argv grammar
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+HELP = """\
+usage: ncfact info GROUP [OPTIONS]
+       ncfact verify GROUP [OPTIONS]
+       ncfact count GROUP KIND [ARG] [OPTIONS]
+       ncfact table GROUP-OR-FAMILY [OPTIONS]
+       ncfact -h | --help | --version
 
+Noncrossing-partition factorization counting and verification for
+well-generated reflection groups.
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ncfact",
-        description="Noncrossing-partition factorization counting and "
-                    "verification for well-generated reflection groups.")
-    parser.add_argument("--version", action="version",
-                        version=f"ncfact {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+  info      closed-form facts about a group
+  verify    run the identity suite
+  count     count factorizations; KIND is red, fact-k (ARG: the number K
+            of blocks), composition (ARG: c1,c2,...) or by-class
+  table     expected vs. enumerated per-class row, for a group or a table
+            family such as B, GEEN or G24
 
-    def common(p: argparse.ArgumentParser, cache: bool = True) -> None:
-        p.add_argument("--format", choices=("md", "json", "csv"),
-                       default="md", help="output format (default md)")
-        p.add_argument("--budget", type=positive_int, default=None,
-                       help="work budget, e.g. |NC|*|T| (default 10^7)")
-        if cache:
-            p.add_argument("--cache", metavar="PATH", default=None,
-                           help="JSON cache file for finished reports")
-            p.add_argument("--no-cache", action="store_true",
-                           help="ignore --cache and recompute")
+OPTIONS go anywhere after the command, as --opt VALUE or --opt=VALUE, under
+any unique prefix; the last repeat wins, and tokens after -- are positional:
+  --format F      md, json or csv (default md)
+  --budget N      work budget, e.g. |NC|*|T| (default 10^7)
+  --cache PATH    JSON cache file for finished reports (not on info)
+  --no-cache      ignore --cache and recompute (not on info)
+  --p-max P       largest Fuss parameter tested (verify only; default 4)
+  -h, --help      print this help and exit
+  --version       print the version and exit
 
-    p_info = sub.add_parser("info", help="closed-form facts about a group")
-    p_info.add_argument("group")
-    common(p_info, cache=False)
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 work
+budget exceeded (checked before the phase starts)."""
 
-    p_verify = sub.add_parser("verify", help="run the identity suite")
-    p_verify.add_argument("group")
-    p_verify.add_argument("--p-max", type=int, default=4,
-                          help="largest Fuss parameter tested (default 4)")
-    common(p_verify)
-
-    p_count = sub.add_parser("count", help="count factorizations")
-    p_count.add_argument("group")
-    p_count.add_argument("kind",
-                         choices=("red", "fact-k", "composition", "by-class"))
-    p_count.add_argument("arg", nargs="?", default=None,
-                         help="K for fact-k; c1,c2,... for composition")
-    common(p_count)
-
-    p_table = sub.add_parser("table",
-                             help="expected vs. enumerated per-class row")
-    p_table.add_argument("group", metavar="group-or-family")
-    common(p_table)
-    return parser
+# option -> (attribute, default); a default of False marks a flag
+_OPTIONS = {"--format": ("format", "md"), "--budget": ("budget", None),
+            "--cache": ("cache", None), "--no-cache": ("no_cache", False),
+            "--p-max": ("p_max", 4)}
+_CACHE = ("--format", "--budget", "--cache", "--no-cache")
+# command -> (positionals, options); a positional in brackets may be left out
+_COMMANDS = {"info": (("group",), ("--format", "--budget")),
+             "verify": (("group",), ("--p-max",) + _CACHE),
+             "count": (("group", "kind", "[arg]"), _CACHE),
+             "table": (("group",), _CACHE)}
+_CHOICES = {"--format": ("md", "json", "csv"),
+            "kind": ("red", "fact-k", "composition", "by-class")}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _dispatch(args: argparse.Namespace) -> dict:
+class _ArgvError(Exception):
+    """A command line outside the grammar: (message, command or None)."""
+
+
+def _classify(token: str, options: Tuple[str, ...]):
+    """How argparse reads a token before the first `--`: None for a
+    positional, else (option, attached value or None), where option is
+    None for an option-like token that names no option."""
+    if not token.startswith("-"):
+        return None
+    if token in options:
+        return token, None
+    if len(token) == 1:
+        return None
+    head, eq, tail = token.partition("=")
+    if eq and head in options:
+        return head, tail
+    if token[1] == "-":
+        found = [(o, tail if eq else None) for o in options
+                 if o.startswith(head)]
+    else:
+        found = [(o, token[2:]) for o in options if o == token[:2]]
+    if len(found) > 1:
+        raise _ArgvError(f"ambiguous option: {token}", None)
+    if found:
+        return found[0]
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, token
+
+
+def _read(name: str, text: str, command: str):
+    """The value of option or positional name, from its token."""
+    if name in _CHOICES:
+        if text in _CHOICES[name]:
+            return text
+        problem = f"invalid choice: {text!r}"
+    elif name not in ("--budget", "--p-max"):
+        return text
+    else:
+        try:
+            value = int(text)
+        except ValueError:
+            problem = f"invalid int value: {text!r}"
+        else:
+            if name == "--p-max" or value >= 1:
+                return value
+            problem = f"must be >= 1, got {value}"
+    raise _ArgvError(f"argument {name}: {problem}", command)
+
+
+def _flag(option: str, value: Optional[str], command: Optional[str]) -> str:
+    """What -h, --help or --version print; with a value attached they are
+    an error, but `-hh...` is -h repeated."""
+    if value is not None and not (option == "-h" and value
+                                  and not value.strip("h")):
+        raise _ArgvError(f"argument {option}: ignored explicit argument "
+                         f"{value!r}", command)
+    return f"ncfact {__version__}" if option == "--version" else HELP
+
+
+def _marks(argv: List[str], options: Tuple[str, ...]):
+    """Each token classified up to the first `--`, and its index."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    return [_classify(t, options) for t in argv[:cut]], cut
+
+
+def _parse(argv: List[str]):
+    """The parsed namespace, or the text that -h or --version prints."""
+    marks, cut = _marks(argv, ("-h", "--help", "--version"))
+    stray = []
+    i = 0
+    while i < cut and marks[i] is not None:
+        option, value = marks[i]
+        if option is not None:
+            return _flag(option, value, None)
+        stray.append(argv[i])
+        i += 1
+    if i == len(argv):
+        raise _ArgvError("the following arguments are required: command",
+                         None)
+    command = argv[i]
+    if i == cut or command not in _COMMANDS:
+        raise _ArgvError(f"invalid command: {command!r}", None)
+    todo, names = _COMMANDS[command]
+    args = {"command": command}
+    args.update((name.strip("[]"), None) for name in todo)
+    args.update(_OPTIONS[option] for option in names)
+    rest = argv[i + 1:]
+    marks, cut = _marks(rest, ("-h", "--help") + names)
+    k = 0
+    while k < len(rest):
+        if k < cut and marks[k] is not None:
+            option, value = marks[k]
+            k += 1
+            if option is None:
+                stray.append(rest[k - 1])
+            elif option in ("-h", "--help"):
+                return _flag(option, value, command)
+            elif _OPTIONS[option][1] is False:
+                if value is not None:
+                    raise _ArgvError(f"argument {option}: ignored explicit "
+                                     f"argument {value!r}", command)
+                args[_OPTIONS[option][0]] = True
+            else:
+                if value is None:
+                    if k >= cut or marks[k] is not None:
+                        raise _ArgvError(f"argument {option}: expected one "
+                                         "argument", command)
+                    value = rest[k]
+                    k += 1
+                args[_OPTIONS[option][0]] = _read(option, value, command)
+            continue
+        # a run of positional tokens gives the positionals left one token
+        # each, in order, as far as it goes; the bracketed last one may get
+        # none.  The first `--` goes with them, unless none was filled.
+        end = k
+        while end < len(rest) and (end >= cut or marks[end] is None):
+            end += 1
+        values = [t for j, t in enumerate(rest[k:end], k) if j != cut]
+        n = 0
+        while n < len(todo) and (n < len(values) or todo[n][0] == "["):
+            name = todo[n].strip("[]")
+            if n < len(values):
+                args[name] = _read(name, values[n], command)
+            n += 1
+        todo = todo[n:]
+        stray += values[n:] if n else rest[k:end]
+        k = end
+    missing = [name for name in todo if name[0] != "["]
+    if missing:
+        raise _ArgvError("the following arguments are required: "
+                         f"{', '.join(missing)}", command)
+    if stray:
+        raise _ArgvError(f"unrecognized arguments: {' '.join(stray)}",
+                         command)
+    return SimpleNamespace(**args)
+
+
+def parse_args(argv: List[str]):
+    """The command line as a namespace with one attribute per option and
+    positional, or the exit status once the help, the version or a usage
+    error has been printed."""
+    try:
+        args = _parse(argv)
+    except _ArgvError as exc:
+        message, command = exc.args
+        usage = HELP.split("\n\n", 1)[0]
+        for line in usage.splitlines():
+            if command is not None and f"ncfact {command} " in line:
+                usage = "usage: ncfact " + line.split("ncfact ", 1)[1]
+        print(usage, f"ncfact: error: {message}", sep="\n", file=sys.stderr)
+        return 2
+    if isinstance(args, str):
+        print(args)
+        return 0
+    return args
+
+
+def _dispatch(args: SimpleNamespace) -> dict:
     budget = args.budget
     cache_path = None
     if getattr(args, "cache", None) and not getattr(args, "no_cache", False):
@@ -403,11 +560,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     # (Python >= 3.11) that |W| of e.g. A3000 would exceed
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    if isinstance(args, int):
+        return args
 
     start = time.perf_counter()
     try:

@@ -13,14 +13,17 @@ from __future__ import annotations
 import json
 import math
 import re
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-from ncfact.errors import NonIntegerResult, NoTableRow, RankTooSmall
+from ncfact.errors import (NonIntegerResult, NoTableRow, RankTooSmall,
+                           exact_quotient)
 from ncfact.families import GroupSpec
 from ncfact.ncp import fuss_catalan
+
+if TYPE_CHECKING:  # only the table and the prefactor need a rational
+    from fractions import Fraction
 
 __all__ = [
     "ExpectedRow", "ll_number", "submax_total", "deg_discriminant",
@@ -34,6 +37,7 @@ _INT_RE = re.compile(r"(?<![\w.])(\d+)")
 def _eval_expr(expr: str, n: Optional[int] = None,
                e: Optional[int] = None) -> Fraction:
     """Evaluate a table expression exactly (ints promoted to Fractions)."""
+    from fractions import Fraction
     wrapped = _INT_RE.sub(r"F(\1)", expr)
     names: Dict[str, object] = {"F": Fraction, "__builtins__": {}}
     if n is not None:
@@ -53,8 +57,8 @@ def _as_int(value: Fraction, what: str) -> int:
 def ll_number(spec: GroupSpec) -> int:
     """n! h^n / |W|: the number of reduced reflection factorizations."""
     n = spec.rank
-    return _as_int(Fraction(math.factorial(n) * spec.h ** n, spec.order),
-                   f"LL number of {spec.name}")
+    return exact_quotient(math.factorial(n) * spec.h ** n, spec.order,
+                          f"LL number of {spec.name}")
 
 
 def submax_total(spec: GroupSpec) -> int:
@@ -63,10 +67,10 @@ def submax_total(spec: GroupSpec) -> int:
     if n < 2:
         raise RankTooSmall("submaximal factorizations need rank >= 2")
     small_degrees = sum(spec.degrees) - spec.h
-    inner = Fraction((n - 1) * (n - 2), 2) * spec.h + small_degrees
-    value = Fraction(math.factorial(n - 1) * spec.h ** (n - 1),
-                     spec.order) * inner
-    return _as_int(value, f"submaximal total of {spec.name}")
+    # (n-1)(n-2) is even
+    inner = (n - 1) * (n - 2) // 2 * spec.h + small_degrees
+    return exact_quotient(math.factorial(n - 1) * spec.h ** (n - 1) * inner,
+                          spec.order, f"submaximal total of {spec.name}")
 
 
 def deg_discriminant(spec: GroupSpec) -> int:
@@ -92,6 +96,7 @@ def prefactor_of(spec: GroupSpec) -> Fraction:
     n = spec.rank
     if n < 2:
         raise RankTooSmall("per-class prefactor needs rank >= 2")
+    from fractions import Fraction  # (n-2)! h^(n-1) / |W| may be rational
     return Fraction(math.factorial(n - 2) * spec.h ** (n - 1), spec.order)
 
 

@@ -2,10 +2,13 @@
 
 Every error carries a human-readable message; callers that need to branch on
 failure kind catch the specific class.  CLI maps ParseError/UnsupportedGroup
-to exit code 2 and BudgetExceeded to exit code 3.
+to exit code 2 and BudgetExceeded to exit code 3.  `exact_quotient` divides
+integers that a closed form says divide exactly, or raises NonIntegerResult.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class NcfactError(Exception):
@@ -31,6 +34,16 @@ class BudgetExceeded(NcfactError):
 
 class NonIntegerResult(NcfactError):
     """A closed-form expression that must be an integer is not one."""
+
+
+def exact_quotient(num: int, den: int, what: str) -> int:
+    """num / den for den > 0, or NonIntegerResult naming what."""
+    value, rest = divmod(num, den)
+    if rest:
+        g = math.gcd(num, den)
+        raise NonIntegerResult(f"{what} = {num // g}/{den // g} is not an "
+                               "integer")
+    return value
 
 
 class NotLengthTwo(NcfactError):

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from ncfact import kernels
-from ncfact.errors import IndexOutOfRange, NonIntegerResult, RankTooSmall
+from ncfact.errors import IndexOutOfRange, RankTooSmall, exact_quotient
 from ncfact.groups import ClassId, Element, Group
 from ncfact.ncp import NcClass, NcPoset, build_nc, strata_codim2, transfer
 
@@ -166,9 +165,17 @@ def _cover_paths(nc: NcPoset) -> List[int]:
     return paths
 
 
+def _reduced_below(nc: NcPoset) -> List[int]:
+    """_cover_paths(nc), from one pass per poset: verify reads it for
+    |Red(c)| and again for the per-class counts."""
+    if nc.cover_paths is None:
+        nc.cover_paths = _cover_paths(nc)
+    return nc.cover_paths
+
+
 def count_reduced(nc: NcPoset) -> int:
     """|Red(c)|: factorizations into rank many reflections."""
-    return _cover_paths(nc)[-1]
+    return _reduced_below(nc)[-1]
 
 
 def r_lambda(g: Group, w: Element) -> int:
@@ -182,12 +189,9 @@ def derived_degree(g: Group, count: int) -> int:
     n = g.rank
     if n < 2:
         raise RankTooSmall("derived degrees need rank >= 2")
-    u = Fraction(count * g.order,
-                 math.factorial(n - 1) * g.h ** (n - 1))
-    if u.denominator != 1:
-        raise NonIntegerResult(f"count {count} gives non-integer derived "
-                               f"degree {u} for {g.name}")
-    return u.numerator
+    return exact_quotient(count * g.order,
+                          math.factorial(n - 1) * g.h ** (n - 1),
+                          f"derived degree of count {count} for {g.name}")
 
 
 def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
@@ -203,7 +207,7 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     n = g.rank
     if n < 2:
         raise RankTooSmall("submaximal factorizations need rank >= 2")
-    paths = _cover_paths(nc)
+    paths = _reduced_below(nc)
     c = nc.perms[-1]
     rows = []
     for cls in strata_codim2(nc):

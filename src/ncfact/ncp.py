@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ncfact import kernels
-from ncfact.errors import NonIntegerResult, NotInNC, RankTooSmall
+from ncfact.errors import NotInNC, RankTooSmall, exact_quotient
 from ncfact.families import GroupSpec
 from ncfact.groups import ClassId, Element, Group
 
@@ -48,7 +47,8 @@ class NcClass(NamedTuple):
 
 
 class NcPoset:
-    """Materialized NC(W, c); immutable after construction."""
+    """Materialized NC(W, c); immutable after construction but for the
+    cover_paths it keeps."""
 
     def __init__(self, group: Group):
         # the walk tests each element against every t: |NC| * |T|, with
@@ -102,6 +102,9 @@ class NcPoset:
         self.down_start = start
         self.rank_start: Tuple[int, ...] = tuple(
             bisect_left(self.ranks, r) for r in range(n + 2))
+        # the maximal chains up to each element, kept by facto's cover
+        # pass the first time it runs
+        self.cover_paths: Optional[List[int]] = None
 
     def __repr__(self) -> str:
         return f"NcPoset({self.group.name}, size={self.size})"
@@ -149,14 +152,12 @@ def fuss_catalan(spec: GroupSpec, p: int) -> int:
     """prod_i (d_i + p*h) / d_i, exactly."""
     if p < 0:
         raise ValueError("p must be >= 0")
-    value = Fraction(1)
-    h = spec.h
+    num = den = 1
     for d in spec.degrees:
-        value *= Fraction(d + p * h, d)
-    if value.denominator != 1:
-        raise NonIntegerResult(f"Fuss-Catalan value {value} for {spec.name}, "
-                               f"p={p} is not an integer")
-    return value.numerator
+        num *= d + p * spec.h
+        den *= d
+    return exact_quotient(num, den,
+                          f"Fuss-Catalan value for {spec.name}, p={p}")
 
 
 def transfer(nc: NcPoset, vec: Sequence[int], jumps: range) -> List[int]:

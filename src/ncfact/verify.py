@@ -44,7 +44,7 @@ pass every check that runs under the default budget, in 0.3-0.5 s and
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
@@ -124,12 +124,29 @@ def class_label(row: LLRow) -> str:
     return f"rank2({d1},{hp})"
 
 
+@functools.cache
+def _sha256_type():
+    for name in ("_sha2", "_sha256"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+    return sha256
+
+
+def sha256(data: bytes = b""):
+    """A SHA-256 hash object, as hashlib.sha256(data) gives, from CPython's
+    own module (_sha2 from 3.12, _sha256 before): hashlib would load
+    OpenSSL, about 5 ms a process.  hashlib only when neither imports."""
+    return _sha256_type()(data)
+
+
 def row_records(rows: Sequence[LLRow]) -> List[dict]:
     """JSON-ready row records; numbers as decimal strings."""
-    import hashlib  # only class ids need it, and only in these records
     records = []
     for row in rows:
-        digest = hashlib.sha256(row.class_id).hexdigest()[:16]
+        digest = sha256(row.class_id).hexdigest()[:16]
         records.append({
             "class_id": digest,
             "label": class_label(row),
@@ -149,6 +166,7 @@ def expected_r(row: LLRow) -> object:
     d1, hp = row.parabolic
     if row.reducible:
         return 2
+    from fractions import Fraction  # 2h'/d1' need not be an integer
     return Fraction(2 * hp, d1)
 
 

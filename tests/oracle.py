@@ -5,13 +5,15 @@ the rank-2 parabolic degrees from a Schreier-Sims chain, and the length-2
 test from T.  Most helpers here keep the listing routes the library used to
 take, over `Group.length_table()` (a BFS over all of W) or a BFS closure.
 `submaximal_counts_by_pairs` keeps the per-class submaximal counts by a
-forward and a backward cover pass over every jump-2 pair of NC.
+forward and a backward cover pass over every jump-2 pair of NC, and
+`build_parser` the argparse parser the command line was read with.
 """
 
+import argparse
 import math
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from ncfact import kernels
+from ncfact import __version__, kernels
 from ncfact.facto import COVER, _cover_paths
 from ncfact.groups import ClassId, Element, Group
 from ncfact.ncp import NcPoset, strata_codim2
@@ -77,3 +79,55 @@ def submaximal_counts_by_pairs(nc: NcPoset) -> Dict[ClassId, int]:
     if sum(counts.values()) != sum(weight):
         raise AssertionError("quotients outside the rank-2 strata")
     return counts
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ncfact",
+        description="Noncrossing-partition factorization counting and "
+                    "verification for well-generated reflection groups.")
+    parser.add_argument("--version", action="version",
+                        version=f"ncfact {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, cache: bool = True) -> None:
+        p.add_argument("--format", choices=("md", "json", "csv"),
+                       default="md", help="output format (default md)")
+        p.add_argument("--budget", type=positive_int, default=None,
+                       help="work budget, e.g. |NC|*|T| (default 10^7)")
+        if cache:
+            p.add_argument("--cache", metavar="PATH", default=None,
+                           help="JSON cache file for finished reports")
+            p.add_argument("--no-cache", action="store_true",
+                           help="ignore --cache and recompute")
+
+    p_info = sub.add_parser("info", help="closed-form facts about a group")
+    p_info.add_argument("group")
+    common(p_info, cache=False)
+
+    p_verify = sub.add_parser("verify", help="run the identity suite")
+    p_verify.add_argument("group")
+    p_verify.add_argument("--p-max", type=int, default=4,
+                          help="largest Fuss parameter tested (default 4)")
+    common(p_verify)
+
+    p_count = sub.add_parser("count", help="count factorizations")
+    p_count.add_argument("group")
+    p_count.add_argument("kind",
+                         choices=("red", "fact-k", "composition", "by-class"))
+    p_count.add_argument("arg", nargs="?", default=None,
+                         help="K for fact-k; c1,c2,... for composition")
+    common(p_count)
+
+    p_table = sub.add_parser("table",
+                             help="expected vs. enumerated per-class row")
+    p_table.add_argument("group", metavar="group-or-family")
+    common(p_table)
+    return parser

@@ -199,6 +199,36 @@ def test_argparse_plumbing(capsys):
     capsys.readouterr()
 
 
+def test_help_version_and_usage_lines(capsys):
+    for argv in (["-h"], ["--help"], ["count", "-h"], ["verify", "A3", "--he"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: ncfact info GROUP") and "--p-max" in out
+    code, out, err = run_cli(capsys, "--version")
+    assert (code, out, err) == (0, f"ncfact {ncfact.__version__}\n", "")
+    code, out, err = run_cli(capsys, "count", "A3", "red", "--budget", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "usage: ncfact count GROUP KIND [ARG] [OPTIONS]",
+        "ncfact: error: argument --budget: must be >= 1, got 0"]
+
+
+def test_option_spellings(capsys):
+    # --opt value and --opt=value, unique prefixes, options before the
+    # positionals, and the last repeat wins
+    _, want, _ = run_cli(capsys, "count", "D4", "fact-k", "3", "--format",
+                         "csv")
+    for argv in (("count", "D4", "fact-k", "3", "--format=csv"),
+                 ("count", "--f", "csv", "D4", "fact-k", "3"),
+                 ("count", "D4", "--fo=json", "fact-k", "3", "--form", "csv")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == want, argv
+    # as with argparse, ARG must follow KIND with no option between
+    assert run_cli(capsys, "count", "D4", "fact-k", "--f", "csv", "3")[0] == 2
+    assert run_cli(capsys, "verify", "A3", "--c")[0] == 2  # no value
+    assert run_cli(capsys, "info", "A3", "--cache", "x.json")[0] == 2
+
+
 def test_determinism_and_cache(capsys, tmp_path):
     cache = tmp_path / "cache.json"
     outputs = []

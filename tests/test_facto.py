@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from ncfact import build_group, build_nc, kernels
+from ncfact import build_group, build_nc, facto, kernels
 from ncfact.errors import BudgetExceeded, IndexOutOfRange, NotLengthTwo
 from ncfact.facto import (Factorization, concatenation_fibers,
                           count_fact_by_composition, count_fact_k,
@@ -16,6 +16,7 @@ from ncfact.facto import (Factorization, concatenation_fibers,
 from ncfact.families import parse_group
 from ncfact.groups import Group
 from ncfact.ncp import NcPoset
+from ncfact.verify import run_verify
 from oracle import reflection_length, submaximal_counts_by_pairs
 from test_ncp import ORACLE_GROUPS
 
@@ -196,8 +197,9 @@ def test_submaximal_counts_match_pair_oracle(nc_of, name):
             == submaximal_counts_by_pairs(nc))
 
 
-def test_submaximal_by_class_reads_covers_only(monkeypatch, nc_of):
-    # one cover pass; no scan over the jump-2 pairs of NC
+def test_submaximal_by_class_reads_covers_only(monkeypatch):
+    # one cover pass; no scan over the jump-2 pairs of NC (a poset of its
+    # own, which has not run the cover pass yet)
     jumps = set()
     real = NcPoset.below
 
@@ -206,8 +208,23 @@ def test_submaximal_by_class_reads_covers_only(monkeypatch, nc_of):
         return real(self, j, jump_range)
 
     monkeypatch.setattr(NcPoset, "below", spy)
-    submaximal_by_class(nc_of("D5"))
+    submaximal_by_class(build_nc(build_group("D5")))
     assert jumps == {range(1, 2)}
+
+
+@pytest.mark.parametrize("name", ["B3", "G(3,1,3)"])
+def test_one_cover_pass_per_verify(monkeypatch, name):
+    # |Red(c)| for the lanes and the per-class counts read the same pass
+    real = facto._cover_paths
+    calls = []
+
+    def spy(nc):
+        calls.append(nc.group.name)
+        return real(nc)
+
+    monkeypatch.setattr(facto, "_cover_paths", spy)
+    assert run_verify(parse_group(name), p_max=2).passed
+    assert calls == [parse_group(name).name]
 
 
 def test_one_nc_walk_per_group(monkeypatch):

@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ncfact
 
 SRC = Path(ncfact.__file__).resolve().parent
@@ -134,9 +136,14 @@ def test_import_checker_sees_nested_imports():
                                        (3, "dataclasses")]
 
 
-# loaded only on the paths that use them: csv to render csv, hashlib for
-# the cache key and class-id digests, copy for the table records
-COLD_START_FREE = ("dataclasses", "inspect", "csv", "copy", "hashlib")
+# loaded only on the paths that use them, or never: csv to render csv,
+# copy for the table records, fractions (and with it decimal) where a value
+# can be rational; SHA-256 comes from CPython's own module, not hashlib and
+# OpenSSL's _hashlib, and the argv parser is cli's own, not argparse (with
+# gettext and locale)
+COLD_START_FREE = ("dataclasses", "inspect", "csv", "copy", "hashlib",
+                   "_hashlib", "argparse", "gettext", "locale", "fractions",
+                   "decimal")
 
 
 def test_cli_import_loads_the_traced_modules_and_nothing_costly():
@@ -160,3 +167,42 @@ def test_cli_import_loads_the_traced_modules_and_nothing_costly():
     targets = {m for m, _, _ in layers.SPAN_TARGETS + layers.COUNT_TARGETS}
     assert sorted(targets - set(loaded)) == []
     assert "ncfact.verify" in added
+
+
+def _builtin_sha256():
+    for name in ("_sha2", "_sha256"):
+        try:
+            __import__(name)
+            return name
+        except ImportError:
+            pass
+    return None
+
+
+def test_digests_never_load_openssl(tmp_path):
+    # class-id digests (verify) and the cache key (a cache hit) take
+    # SHA-256 from CPython's own module
+    if _builtin_sha256() is None:
+        pytest.skip("no built-in SHA-256 module")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent)] + [p for p in os.environ.get(
+            "PYTHONPATH", "").split(os.pathsep) if p])}
+    script = ("import sys\nfrom ncfact.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, ' '.join(sorted(sys.modules)), file=sys.stderr)\n")
+    cache = str(tmp_path / "cache.json")
+    runs = [["verify", "H3", "--format", "json"],
+            ["count", "A3", "red", "--cache", cache],
+            ["count", "A3", "red", "--cache", cache]]
+    loaded = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        code, modules = proc.stderr.splitlines()[-1].split(" ", 1)
+        assert code == "0"
+        loaded.append(modules.split())
+    verify, _, hit = loaded
+    assert "_hashlib" not in verify and "hashlib" not in verify
+    assert "_hashlib" not in hit and "hashlib" not in hit
+    assert _builtin_sha256() in verify and _builtin_sha256() in hit

@@ -5,16 +5,22 @@ Exhaustive where the group is small; seeded sampling or hypothesis where
 the state space is too large to sweep.
 """
 
+import io
 import itertools
 import random
+import re
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncfact.cli import main
+from ncfact.cli import main, parse_args
 from ncfact.facto import (count_fact_by_composition, enumerate_reduced,
                           hurwitz_move)
-from oracle import absolute_leq, elements, reflection_length
+from oracle import absolute_leq, build_parser, elements, reflection_length
 
 SEED = 20260814
 
@@ -196,3 +202,67 @@ def test_cli_fuzz_exit_codes(command, group, kind_arg, flags):
     if command != "info":
         argv += ["--budget", "65536"]
     assert main(argv) in (0, 1, 2, 3)
+
+
+def _parsed(parse, argv):
+    """The fields a parser reads from argv, or its exit status."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = 0 if exc.code in (0, None) else 2
+    return result if isinstance(result, int) else vars(result)
+
+
+def _reference(argv):
+    return build_parser().parse_args(argv)
+
+
+# option spellings: prefixes, `=` values, help and version in their
+# argparse forms, `--`, negative numbers and tokens with spaces
+_TOKEN = st.one_of(
+    st.sampled_from((
+        "--format", "--form", "--f=json", "--format=", "--budget", "--bud",
+        "--b=7", "--budget=0", "--cache", "--ca=x.json", "--c", "--no-cache",
+        "--n", "--no-cache=1", "--p-max", "--p=2", "--p-max=-1", "-h",
+        "--help", "--he", "-hh", "-hx", "-h=h", "--help=1", "--version",
+        "--v", "--", "-", "-1", "-2.5", "-x", "--x", "--=x", "-x y", "0",
+        "7", "md", "json", "xml", "red", "fact-k", "by-class", "A3", "")),
+    _junk(6),
+)
+_COMMAND = st.one_of(st.sampled_from(("info", "verify", "count", "table")),
+                     _TOKEN)
+
+
+@settings(deadline=None, max_examples=300)
+@given(command=_COMMAND, group=_GROUP, kind_arg=_KIND_ARG, flags=_FLAGS,
+       extra=st.lists(st.tuples(st.integers(0, 8), _TOKEN), max_size=4))
+def test_argv_parser_agrees_with_argparse(command, group, kind_arg, flags,
+                                          extra):
+    # the fuzz test's argv shapes, with tokens dropped in anywhere
+    argv = [command, group, *kind_arg]
+    for flag in flags:
+        argv += list(flag)
+    for at, token in extra:
+        argv.insert(min(at, len(argv)), token)
+    # the one deliberate difference: argparse drops the first "--" from
+    # the tokens of each positional and each `--opt=` value, so a second
+    # "--" or a value "--" reads as None or [], where this parser keeps it
+    assume(argv.count("--") < 2
+           and not any(token.endswith("=--") for token in argv))
+    assert _parsed(parse_args, argv) == _parsed(_reference, argv), argv
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"^\$ ncfact (.*)$", text, flags=re.M)
+    lines += re.findall(r"`ncfact\s+((?:info|verify|count|table|-)[^`]*)`",
+                        text)
+    lines += re.findall(r"python3? -m ncfact\.cli (.*)$", text, flags=re.M)
+    return sorted({" ".join(line.split()) for line in lines})
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_lines_parse_as_with_argparse(line):
+    argv = shlex.split(line, comments=True)
+    assert _parsed(parse_args, argv) == _parsed(_reference, argv)

@@ -1,6 +1,8 @@
 """run_verify report structure and check inventory."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -121,3 +123,20 @@ def test_verify_never_builds_the_length_table(monkeypatch, capsys, name):
     for row in submaximal_by_class(nc):
         assert r_lambda(g, row.representative) == row.r
         assert g.parabolic_degrees(row.representative) == row.parabolic
+
+
+def test_builtin_sha256_matches_hashlib(nc_of):
+    # the class-id digests in stdout come from verify.sha256
+    rng = random.Random(20261019)
+    for size in (0, 1, 55, 56, 63, 64, 65, 1000, 100_000):
+        data = rng.randbytes(size)
+        assert (verify.sha256(data).hexdigest()
+                == hashlib.sha256(data).hexdigest())
+    digest = verify.sha256()
+    for chunk in (b"ab", b"", b"c" * 200):
+        digest.update(chunk)
+    assert digest.hexdigest() == hashlib.sha256(b"ab" + b"c" * 200).hexdigest()
+    for name in BENCH_GROUPS:
+        for cls in ncp.strata_codim2(nc_of(name)):
+            assert (verify.sha256(cls.class_id).digest()
+                    == hashlib.sha256(cls.class_id).digest()), name

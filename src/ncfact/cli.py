@@ -19,9 +19,10 @@ parameters), where the source digest covers the package's code and data
 files, so an entry written by other code is recomputed, never replayed; a
 cache hit replays exactly the bytes a fresh run would print.  A run holds
 an exclusive lock on the sidecar file PATH.lock while it reads, computes
-and stores, so concurrent runs keep each other's entries, and a file that
-does not parse as a cache is left as it is: the run recomputes and says so
-on stderr.
+and stores, so concurrent runs keep each other's entries.  A file that is
+not a readable cache, or has a malformed entry for the run, is left as it
+is, and a PATH that cannot be made, locked or stored to goes unused: the
+run computes and says so on stderr.
 
 Run as a script (`python3 -m ncfact.cli`), the process ends with
 os._exit(code) once main() has returned and stdout and stderr are flushed.
@@ -274,12 +275,9 @@ def _cache_store(path: str, cache: dict) -> None:
             # the same either way
             fh.write(json.dumps(cache, sort_keys=True) + "\n")
         os.replace(tmp, path)
-    except BaseException:
-        try:
+    finally:
+        if os.path.exists(tmp):  # the store failed
             os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 @functools.cache
@@ -297,28 +295,48 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
+# the keys of each check and each row of a payload
+_ITEM_KEYS = {"checks": {"name", "expected", "actual", "pass"},
+              "rows": set(_ROW_COLS)}
+
+
+def _is_payload(entry: object) -> bool:
+    """Whether a cached entry is shaped like a payload, so it renders."""
+    return (isinstance(entry, dict)
+            and entry.keys() == {"group", "meta", *_ITEM_KEYS}
+            and isinstance(entry["group"], str)
+            and all(isinstance(entry[k], list)
+                    and all(isinstance(x, dict) and x.keys() == keys
+                            for x in entry[k])
+                    for k, keys in _ITEM_KEYS.items()))
+
+
 def _with_cache(key: str, path: Optional[str], compute) -> dict:
     if path is None:
         return compute()
     import fcntl  # POSIX only, and only --cache needs it
     key = f"{_source_digest()}|{key}"
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    # concurrent runs read, compute and store one at a time; closing the
-    # sidecar file releases its lock
-    with open(path + ".lock", "a") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
-        cache = _cache_load(path)
-        if cache is None:
-            print(f"ncfact: note: {path} is not a readable cache; "
-                  "recomputing and leaving it unchanged", file=sys.stderr)
-            return compute()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        payload = compute()
-        cache[key] = payload
-        _cache_store(path, cache)
-        return payload
+    payload = None
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        # concurrent runs read, compute and store one at a time; closing
+        # the sidecar file releases its lock
+        with open(path + ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            cache = _cache_load(path)
+            if cache is not None and _is_payload(cache.get(key)):
+                return cache[key]
+            if cache is None or key in cache:
+                print(f"ncfact: note: {path} is not a readable cache; "
+                      "recomputing and leaving it unchanged", file=sys.stderr)
+                return compute()
+            payload = compute()
+            cache[key] = payload
+            _cache_store(path, cache)
+    except OSError as exc:
+        print(f"ncfact: note: cannot use {path} as a cache ({exc})",
+              file=sys.stderr)
+    return compute() if payload is None else payload
 
 
 # ------------------------------------------------------------- argv grammar

@@ -62,14 +62,13 @@ def ll_number(spec: GroupSpec) -> int:
 
 
 def submax_total(spec: GroupSpec) -> int:
-    """(n-1)! h^(n-1) / |W| * ((n-1)(n-2)/2 * h + d_1 + ... + d_(n-1))."""
+    """(n-1)! h^(n-1) / |W| * (deg D - deg J), the per-class counts' sum:
+    (n-1)(n-2)/2 * h + d_1 + ... + d_(n-1) is deg D - deg J."""
     n = spec.rank
     if n < 2:
         raise RankTooSmall("submaximal factorizations need rank >= 2")
-    small_degrees = sum(spec.degrees) - spec.h
-    # (n-1)(n-2) is even
-    inner = (n - 1) * (n - 2) // 2 * spec.h + small_degrees
-    return exact_quotient(math.factorial(n - 1) * spec.h ** (n - 1) * inner,
+    return exact_quotient(math.factorial(n - 1) * spec.h ** (n - 1)
+                          * sum_derived_degrees(spec),
                           spec.order, f"submaximal total of {spec.name}")
 
 
@@ -80,10 +79,9 @@ def deg_discriminant(spec: GroupSpec) -> int:
 
 
 def deg_jacobian(spec: GroupSpec) -> int:
-    """h * (n(n+1)/2 - 1) - (d_1 + ... + d_(n-1))."""
+    """h * (n(n+1)/2 - 1) - (d_1 + ... + d_(n-1)), with d_n = h."""
     n = spec.rank
-    small_degrees = sum(spec.degrees) - spec.h
-    return spec.h * (n * (n + 1) // 2 - 1) - small_degrees
+    return spec.h * n * (n + 1) // 2 - sum(spec.degrees)
 
 
 def sum_derived_degrees(spec: GroupSpec) -> int:

@@ -3,8 +3,10 @@
 A block factorization of c is a tuple of non-identity elements whose product
 is c and whose reflection lengths sum to l(c) = rank.  Factorizations with
 composition (l(w_1), ..., l(w_p)) correspond to strict rank-jump chains in
-NC(W, c), so counting is passes over the materialized poset (the per-class
-submaximal counts add the Hurwitz action, see `submaximal_by_class`);
+NC(W, c), so counting reads the materialized poset: |Red(w)| is its
+`paths`, counted by the walk, and the rest are passes over its relation
+(the per-class submaximal counts add the Hurwitz action, see
+`submaximal_by_class`);
 explicit enumeration is kept alongside as an independent route and for the
 Hurwitz/concatenation checks.  An `LLRow` is a codimension-2 stratum
 (`ncp.NcClass`) plus its counts; its r and reducibility come from one scan
@@ -22,9 +24,6 @@ from ncfact import kernels
 from ncfact.errors import IndexOutOfRange, RankTooSmall, exact_quotient
 from ncfact.groups import ClassId, Element, Group
 from ncfact.ncp import NcClass, NcPoset, build_nc, strata_codim2, transfer
-
-# the rank jumps of a cover
-COVER = range(1, 2)
 
 
 class Factorization:
@@ -154,28 +153,9 @@ def count_fact_k(nc: NcPoset, k: int) -> int:
     return fact_counts(nc)[k]
 
 
-def _cover_paths(nc: NcPoset) -> List[int]:
-    """paths[j]: maximal chains from the identity to j, i.e. the reduced
-    reflection factorizations of element j, in one pass over the covers."""
-    paths = [0] * nc.size
-    paths[0] = 1
-    get = paths.__getitem__
-    for j in range(1, nc.size):
-        paths[j] = sum(map(get, nc.below(j, COVER)))
-    return paths
-
-
-def _reduced_below(nc: NcPoset) -> List[int]:
-    """_cover_paths(nc), from one pass per poset: verify reads it for
-    |Red(c)| and again for the per-class counts."""
-    if nc.cover_paths is None:
-        nc.cover_paths = _cover_paths(nc)
-    return nc.cover_paths
-
-
 def count_reduced(nc: NcPoset) -> int:
     """|Red(c)|: factorizations into rank many reflections."""
-    return _reduced_below(nc)[-1]
+    return nc.paths[-1]
 
 
 def r_lambda(g: Group, w: Element) -> int:
@@ -207,13 +187,12 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     n = g.rank
     if n < 2:
         raise RankTooSmall("submaximal factorizations need rank >= 2")
-    paths = _reduced_below(nc)
     c = nc.perms[-1]
     rows = []
     for cls in strata_codim2(nc):
         complements = (kernels.compose(kernels.inverse(nc.perms[q]), c)
                        for q in cls.members)
-        count = (n - 1) * sum(paths[nc.index[x]] for x in complements)
+        count = (n - 1) * sum(nc.paths[nc.index[x]] for x in complements)
         rep = cls.representative
         # the atoms generate the parabolic, which is abelian, i.e. a
         # product of two rank-1 groups, iff they pairwise commute

@@ -52,8 +52,10 @@ class _Carrier(NamedTuple):
     """A faithful permutation action of W.
 
     gens generate W (checked by the verifier's group-order, a Schreier-Sims
-    order over them); lower_covers(v), for v in NC(W, c), lists the v*t
-    (t in T) with t =< v, i.e. the elements v covers in absolute order.
+    order over them); lower_covers(v, within=None), for v in NC(W, c),
+    returns the v*t (t in T) with t =< v, i.e. the elements v covers in
+    absolute order, and the within to pass for them: Mov(v) as roots on a
+    root carrier, None on a monomial one.  Neither keeps state.
     """
 
     npoints: int
@@ -62,7 +64,7 @@ class _Carrier(NamedTuple):
     coxeter: bytes
     codim: Callable[[bytes], int]
     gens: Tuple[bytes, ...]
-    lower_covers: Callable[[bytes], List[bytes]]
+    lower_covers: Callable[..., Tuple[List[bytes], Optional[List[int]]]]
 
 
 def _carrier_a(n: int) -> _Carrier:
@@ -157,7 +159,7 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
     # cycle's sum, a transposition joins two cycles (sums add) or splits
     # one, and codim drops by one iff exactly one more cycle sums to 0.
     # Only the covers are composed on points.
-    def lower_covers(v: bytes) -> List[bytes]:
+    def lower_covers(v: bytes, within=None) -> Tuple[List[bytes], None]:
         first, pos, pre, total = cycle_sums(coords(v))
         out = []
         for t, i, j, a in shapes:
@@ -176,7 +178,7 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
                 hit = b == 0 or b == s
             if hit:
                 out.append(kernels.compose(v, t))
-        return out
+        return out, None
 
     return _Carrier(n * d, refl_perms, frozenset(refls), cox, codim,
                     tuple(parts), lower_covers)
@@ -192,21 +194,14 @@ def _carrier_root(name: str) -> _Carrier:
     for k, t in enumerate(rs.reflection_perms):
         i = next(i for i, y in enumerate(kernels.unpack(t)) if y == last - i)
         refl_of[i] = refl_of[last - i] = k
-    # within[u]: the moved roots of the upper cover that first listed u.
-    # u =< v fixes Fix(v), so it permutes the roots in Mov(v), and Mov(u)
-    # lies in Mov(v): only those roots need summing.  The walk lists every
-    # element before it asks for its covers, and c starts from all roots.
-    within: Dict[bytes, List[int]] = {}
-
     # t =< v iff the root of t lies in Mov(v) (Brady-Watt 2002 with
-    # Carter 1972, Lemma 2), and v*t is then a lower cover of v
-    def lower_covers(v: bytes) -> List[bytes]:
-        moved = rs.moved_roots(v, within.pop(v, None))
-        out = [kernels.compose(v, rs.reflection_perms[k])
-               for k in sorted({refl_of[x] for x in moved})]
-        for u in out:
-            within.setdefault(u, moved)
-        return out
+    # Carter 1972, Lemma 2), and v*t is then a lower cover of v.  within,
+    # when given, is Mov(u) of some u above v: v =< u fixes Fix(u), so it
+    # permutes those roots, and Mov(v) lies among them.
+    def lower_covers(v: bytes, within=None) -> Tuple[List[bytes], List[int]]:
+        moved = rs.moved_roots(v, within)
+        return [kernels.compose(v, rs.reflection_perms[k])
+                for k in sorted({refl_of[x] for x in moved})], moved
 
     return _Carrier(rs.npoints, rs.reflection_perms,
                     frozenset(rs.reflection_perms), cox, rs.codim,

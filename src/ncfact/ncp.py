@@ -6,12 +6,13 @@ and the last index is the Coxeter element.  The poset is found by walking
 down from c along covers, and the order relation is the closure of those
 covers.  The carrier lists the lower covers of each element it is handed,
 so W is never enumerated: a root carrier keeps the v*t whose root of t lies
-in Mov(v) (one pass over the cycles of v decides every t), a monomial
-carrier the v*t of codim one less than v (read off the cycles of v and
-their color sums).  Class ids are computed only for the elements they are
-asked for, and the group memoises them.  The codimension-2 strata are the
-classes of the rank-2 elements; each `NcClass` carries its members, the NC
-indices of the stratum.
+in Mov(v) (one pass over the cycles of v, within Mov of an upper cover,
+decides every t), a monomial carrier the v*t of codim one less than v
+(read off the cycles of v and their color sums).  The covers give the
+down-sets and `paths` (|Red(w)|, the maximal chains up to w), then go.
+Class ids are computed only for the elements they are asked for, and the
+group memoises them.  The codimension-2 strata are the classes of the
+rank-2 elements; each `NcClass` carries its members, their NC indices.
 
 The relation is stored flat: the down-set of j is the sorted slice
 down[down_start[j]:down_start[j + 1]], ending at j, and since indices
@@ -47,8 +48,7 @@ class NcClass(NamedTuple):
 
 
 class NcPoset:
-    """Materialized NC(W, c); immutable after construction but for the
-    cover_paths it keeps."""
+    """Materialized NC(W, c); immutable after construction."""
 
     def __init__(self, group: Group):
         # the walk tests each element against every t: |NC| * |T|, with
@@ -61,12 +61,17 @@ class NcPoset:
         # covers reaches all of it, and rank is n minus distance.  The
         # carrier lists the lower covers of v without knowing l_T on W.
         # Each element is kept once: a cover met again is swapped for the
-        # copy seen first.
+        # copy seen first.  hint[u] is the carrier's hint from the first
+        # upper cover that listed u; u is asked for its covers after all.
         lower: Dict[bytes, List[bytes]] = {}
         seen: Dict[bytes, bytes] = {}
+        hint: Dict[bytes, Optional[List[int]]] = {}
 
         def step(v: bytes) -> List[bytes]:
-            lower[v] = [seen.setdefault(x, x) for x in car.lower_covers(v)]
+            covers, moved = car.lower_covers(v, hint.pop(v, None))
+            lower[v] = [seen.setdefault(x, x) for x in covers]
+            for u in lower[v]:
+                hint.setdefault(u, moved)
             return lower[v]
 
         dist = kernels.bfs([car.coxeter], step)
@@ -81,20 +86,24 @@ class NcPoset:
             Element(group.name, p) for p in self.perms)
         self.index: Dict[bytes, int] = {p: i for i, p in enumerate(self.perms)}
         self.size = len(self.perms)
-        # The down-set of j is j plus the union of its lower covers'.
-        # Lower covers have lower rank, hence lower index, so in increasing
-        # index order theirs are already in the flat array.
+        # The down-set of j is j plus the union of its lower covers', and
+        # |Red(j)| the sum of theirs.  Lower covers have lower rank, hence
+        # lower index, so in increasing index order theirs are known.
         index = self.index
         down = array("i")
         start = array("i", [0])
+        paths: List[int] = []
         for j, p in enumerate(self.perms):
             below = set()
+            chains = 0
             for x in lower.pop(p):
                 i = index[x]
                 below.update(down[start[i]:start[i + 1]])
+                chains += paths[i]
             down.extend(sorted(below))
             down.append(j)
             start.append(len(down))
+            paths.append(chains if j else 1)
         # down[start[j]:start[j + 1]] is the down-set of j, increasing, so
         # by rank, ending at j itself; rank_start[r] is the first index of
         # rank >= r
@@ -102,9 +111,7 @@ class NcPoset:
         self.down_start = start
         self.rank_start: Tuple[int, ...] = tuple(
             bisect_left(self.ranks, r) for r in range(n + 2))
-        # the maximal chains up to each element, kept by facto's cover
-        # pass the first time it runs
-        self.cover_paths: Optional[List[int]] = None
+        self.paths: Tuple[int, ...] = tuple(paths)
 
     def __repr__(self) -> str:
         return f"NcPoset({self.group.name}, size={self.size})"

@@ -49,8 +49,8 @@ from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from . import __version__, kernels
-from .closedform import (deg_discriminant, deg_jacobian, expected_ll_data,
-                         ll_number, submax_total)
+from .closedform import (deg_discriminant, expected_ll_data, ll_number,
+                         submax_total, sum_derived_degrees)
 from .errors import NoTableRow
 from .facto import (LLRow, concatenation_fibers, enumerate_reduced,
                     fact_counts, hurwitz_orbit, submaximal_by_class)
@@ -222,7 +222,7 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
         add("submax-dp-agrees", fact_k[n - 1], total)
         add("degree-sum-r-u", deg_discriminant(spec),
             sum(row.r * row.u for row in rows))
-        add("degree-sum-u", deg_discriminant(spec) - deg_jacobian(spec),
+        add("degree-sum-u", sum_derived_degrees(spec),
             sum(row.u for row in rows))
         for i, row in enumerate(rows):
             add(f"r-ll-class{i}", expected_r(row), row.r)

@@ -4,8 +4,10 @@ The library never lists W: NC(W, c) comes from the carrier's cover test,
 the rank-2 parabolic degrees from a Schreier-Sims chain, and the length-2
 test from T.  Most helpers here keep the listing routes the library used to
 take, over `Group.length_table()` (a BFS over all of W) or a BFS closure.
-`submaximal_counts_by_pairs` keeps the per-class submaximal counts by a
-forward and a backward cover pass over every jump-2 pair of NC, and
+`_cover_paths` counts |Red(w)| by a pass over the covers of the built
+poset, apart from the walk's `NcPoset.paths`; `submaximal_counts_by_pairs`
+keeps the per-class submaximal counts by that forward and a backward cover
+pass over every jump-2 pair of NC, and
 `build_parser` the argparse parser the command line was read with.
 """
 
@@ -14,9 +16,11 @@ import math
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ncfact import __version__, kernels
-from ncfact.facto import COVER, _cover_paths
 from ncfact.groups import ClassId, Element, Group
 from ncfact.ncp import NcPoset, strata_codim2
+
+# the rank jumps of a cover
+COVER = range(1, 2)
 
 
 def elements(g: Group) -> Iterator[Element]:
@@ -52,6 +56,17 @@ def parabolic_degrees_by_closure(g: Group, atoms: Sequence[bytes]
     root = math.isqrt(s * s - 4 * len(seen))
     assert root * root == s * s - 4 * len(seen)
     return (s - root) // 2, (s + root) // 2
+
+
+def _cover_paths(nc: NcPoset) -> List[int]:
+    """paths[j]: maximal chains from the identity to j, i.e. the reduced
+    reflection factorizations of element j, in one pass over the covers."""
+    paths = [0] * nc.size
+    paths[0] = 1
+    get = paths.__getitem__
+    for j in range(1, nc.size):
+        paths[j] = sum(map(get, nc.below(j, COVER)))
+    return paths
 
 
 def submaximal_counts_by_pairs(nc: NcPoset) -> Dict[ClassId, int]:

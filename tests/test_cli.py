@@ -291,6 +291,54 @@ def test_corrupt_cache_is_left_unchanged(capsys, tmp_path):
         assert cache.read_bytes() == junk
 
 
+@pytest.mark.parametrize("entry", [7, {"group": "A3"}])
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_malformed_cache_hit_is_left_unchanged(capsys, tmp_path, entry, fmt):
+    argv = ("count", "A3", "red", "--format", fmt)
+    cache = tmp_path / "cache.json"
+    code, fresh, _ = run_cli(capsys, *argv, "--cache", str(cache))
+    assert code == 0
+    key, = json.loads(cache.read_text())
+    cache.write_text(json.dumps({key: entry}))
+    junk = cache.read_bytes()
+    code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert code == 0 and out == fresh
+    assert "not a readable cache" in err
+    assert cache.read_bytes() == junk
+
+
+def test_unusable_cache_path_computes_without_it(capsys, tmp_path,
+                                                 monkeypatch):
+    argv = ("count", "A3", "red")
+    _, fresh, _ = run_cli(capsys, *argv)
+    # the cache's directory is a file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncfact.cli", *argv,
+         "--cache", str(blocker / "cache.json")],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0 and proc.stdout == fresh
+    assert "cannot use" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # the lock cannot be opened
+    (tmp_path / "locked.json.lock").mkdir()
+    code, out, err = run_cli(capsys, *argv,
+                             "--cache", str(tmp_path / "locked.json"))
+    assert code == 0 and out == fresh and "cannot use" in err
+    # the store fails once the work is done
+    import tempfile
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    cache = tmp_path / "cache.json"
+    code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert code == 0 and out == fresh and "cannot use" in err
+    assert not cache.exists()
+
+
 def test_concurrent_runs_keep_every_entry(tmp_path):
     # each run takes long enough that, without the lock, several would read
     # the empty cache before any stores

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from ncfact import build_group, build_nc, facto, kernels
+from ncfact import build_group, build_nc, kernels
 from ncfact.errors import BudgetExceeded, IndexOutOfRange, NotLengthTwo
 from ncfact.facto import (Factorization, concatenation_fibers,
                           count_fact_by_composition, count_fact_k,
@@ -198,8 +198,8 @@ def test_submaximal_counts_match_pair_oracle(nc_of, name):
 
 
 def test_submaximal_by_class_reads_covers_only(monkeypatch):
-    # one cover pass; no scan over the jump-2 pairs of NC (a poset of its
-    # own, which has not run the cover pass yet)
+    # the walk's paths only: no pass over the covers, no scan over the
+    # jump-2 pairs of NC
     jumps = set()
     real = NcPoset.below
 
@@ -209,20 +209,20 @@ def test_submaximal_by_class_reads_covers_only(monkeypatch):
 
     monkeypatch.setattr(NcPoset, "below", spy)
     submaximal_by_class(build_nc(build_group("D5")))
-    assert jumps == {range(1, 2)}
+    assert jumps == set()
 
 
 @pytest.mark.parametrize("name", ["B3", "G(3,1,3)"])
 def test_one_cover_pass_per_verify(monkeypatch, name):
-    # |Red(c)| for the lanes and the per-class counts read the same pass
-    real = facto._cover_paths
+    # |Red(c)| for the lanes and the per-class counts read the one walk
+    real = NcPoset.__init__
     calls = []
 
-    def spy(nc):
-        calls.append(nc.group.name)
-        return real(nc)
+    def spy(self, group):
+        calls.append(group.name)
+        real(self, group)
 
-    monkeypatch.setattr(facto, "_cover_paths", spy)
+    monkeypatch.setattr(NcPoset, "__init__", spy)
     assert run_verify(parse_group(name), p_max=2).passed
     assert calls == [parse_group(name).name]
 

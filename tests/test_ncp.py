@@ -14,7 +14,7 @@ from ncfact.families import parse_group
 from ncfact.groups import Element
 from ncfact.ncp import count_multichains, fuss_catalan, strata_codim2
 from ncfact.rootdata import build_root_system
-from oracle import absolute_leq, elements, reflection_length
+from oracle import _cover_paths, absolute_leq, elements, reflection_length
 
 # |NC(W)| = prod (d_i + h)/d_i, all independently recomputable by hand
 NC_SIZES = {
@@ -208,6 +208,13 @@ def test_poset_matches_old_route(nc_of, name):
             for i, r in enumerate(nc.ranks)] == class_ids
 
 
+@pytest.mark.parametrize("name", ORACLE_GROUPS + ("E7",))
+def test_walk_paths_match_cover_pass(nc_of, name):
+    # |Red(w)| counted by the walk against a second pass over the covers
+    nc = nc_of(name)
+    assert list(nc.paths) == _cover_paths(nc)
+
+
 def test_class_ids_only_for_rank_two(monkeypatch):
     seeds = []
     real = kernels.conj_orbit
@@ -243,9 +250,28 @@ def test_mov_test_matches_codim_drop(nc_of, name):
         drop = car.codim(v) - 1
         assert [i in moved for i in roots] == [
             car.codim(kernels.compose(v, t)) == drop for t in car.refl_perms]
-        assert car.lower_covers(v) == [
+        assert car.lower_covers(v)[0] == [
             kernels.compose(v, t) for t, i in zip(car.refl_perms, roots)
             if i in moved]
+
+
+@pytest.mark.parametrize("name", ["F4", "H4", "E6"])
+def test_root_covers_within_an_upper_covers_roots(nc_of, name):
+    # the moved roots of any upper cover of v only narrow the scan: the
+    # covers of v are the same with them or without, and the carrier keeps
+    # nothing between calls, so neither order changes either answer
+    nc = nc_of(name)
+    car = nc.group.carrier
+    moved = [car.lower_covers(p)[1] for p in nc.perms]
+    for j in range(nc.size):
+        for i in nc.below(j, range(1, 2)):
+            v = nc.perms[i]
+            covers, roots = car.lower_covers(v)
+            hinted = car.lower_covers(v, moved[j])
+            assert hinted[0] == covers
+            assert sorted(hinted[1]) == sorted(roots)
+            assert car.lower_covers(v) == (covers, roots)
+            assert car.lower_covers(v, moved[j]) == hinted
 
 
 
@@ -279,7 +305,7 @@ def _check_cycle_rule(group, perms):
     n = group.rank + (group.spec.family == "A")
     for v in perms:
         drop = _codim_on_coordinates(v, n) - 1
-        assert car.lower_covers(v) == [
+        assert car.lower_covers(v)[0] == [
             kernels.compose(v, t) for t in car.refl_perms
             if _codim_on_coordinates(kernels.compose(v, t), n) == drop], v
 

@@ -10,7 +10,7 @@ from ncfact.errors import (BudgetExceeded, IndexOutOfRange, NcfactError,
 from ncfact.families import GroupSpec, parse_group
 from ncfact.groups import ClassId, Element, Group, build_group
 from ncfact.ncp import (NcClass, NcPoset, build_nc, count_multichains,
-                        fuss_catalan, strata_codim2)
+                        strata_codim2)
 from ncfact.facto import (Factorization, LLRow, concatenation_fibers,
                           count_fact_by_composition, count_fact_k,
                           count_reduced, derived_degree,
@@ -18,9 +18,9 @@ from ncfact.facto import (Factorization, LLRow, concatenation_fibers,
                           hurwitz_move, hurwitz_orbit, make_factorization,
                           r_lambda, submaximal_by_class)
 from ncfact.closedform import (ExpectedRow, deg_discriminant, deg_jacobian,
-                               expected_ll_data, ll_number, prefactor_of,
-                               submax_total, sum_derived_degrees,
-                               table_records)
+                               expected_ll_data, fuss_catalan, ll_number,
+                               prefactor_of, submax_total,
+                               sum_derived_degrees, table_records)
 
 __all__ = [
     "__version__",

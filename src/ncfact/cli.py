@@ -11,18 +11,20 @@ reads a command line as argparse did; tests/oracle.py keeps the argparse
 parser, and a property test checks that the two agree.  argparse itself
 cost every run about 7 ms to import (with gettext and locale) and to build.
 
-Output on stdout is byte-identical across runs for the same inputs and
-version: report payloads carry numbers as decimal strings, key order is
-sorted, and timing goes to stderr only.  The optional cache file stores
-finished payloads keyed by (source digest, version, command, group,
-parameters), where the source digest covers the package's code and data
-files, so an entry written by other code is recomputed, never replayed; a
-cache hit replays exactly the bytes a fresh run would print.  A run holds
-an exclusive lock on the sidecar file PATH.lock while it reads, computes
-and stores, so concurrent runs keep each other's entries.  A file that is
-not a readable cache, or has a malformed entry for the run, is left as it
-is, and a PATH that cannot be made, locked or stored to goes unused: the
-run computes and says so on stderr.
+Every command returns one report, the JSON-ready dict of `verify.report`
+(run_verify's own): `render` prints it, the cache stores it, and the exit
+code folds the `pass` of its checks.  Output on stdout is byte-identical
+across runs for the same inputs and version: reports carry numbers as
+decimal strings, key order is sorted, and timing goes to stderr only.  The
+optional cache file stores finished reports keyed by (source digest,
+version, command, group, parameters), where the source digest covers the
+package's code and data files, so an entry written by other code is
+recomputed, never replayed; a cache hit replays exactly the bytes a fresh
+run would print.  A run holds an exclusive lock on the sidecar file
+PATH.lock while it reads, computes and stores, so concurrent runs keep each
+other's entries.  A file that is not a readable cache, or has a malformed
+entry for the run, is left as it is, and a PATH that cannot be made, locked
+or stored to goes unused: the run computes and says so on stderr.
 
 Run as a script (`python3 -m ncfact.cli`), the process ends with
 os._exit(code) once main() has returned and stdout and stderr are flushed.
@@ -53,8 +55,8 @@ from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .closedform import (deg_discriminant, deg_jacobian, ll_number,
-                         table_records)
+from .closedform import (deg_discriminant, deg_jacobian, fuss_catalan,
+                         ll_number, table_records)
 from .errors import (BudgetExceeded, IndexOutOfRange, NonIntegerResult,
                      NoTableRow, NotInNC, NotLengthTwo, ParseError,
                      RankTooSmall, UnsupportedGroup)
@@ -62,9 +64,9 @@ from .facto import (count_fact_by_composition, count_fact_k, count_reduced,
                     submaximal_by_class)
 from .families import GroupSpec, parse_group
 from .groups import build_group
-from .ncp import build_nc, fuss_catalan
-from .verify import (Check, Report, make_meta, row_records, run_verify,
-                     sha256, table_rows_check)
+from .ncp import build_nc
+from .verify import (CHECK_KEYS, ROW_COLS, check, report, row_records,
+                     run_verify, sha256, table_rows_check)
 
 _USAGE_ERRORS = (ParseError, UnsupportedGroup, RankTooSmall, NotLengthTwo,
                  NotInNC, IndexOutOfRange)
@@ -84,8 +86,8 @@ def cmd_info(spec: GroupSpec) -> dict:
         ("deg-jacobian", deg_jacobian(spec)),
         ("two-reflection", "yes" if spec.is_two_reflection else "no"),
     ]
-    checks = [Check(name, str(v), str(v)) for name, v in facts]
-    return Report(spec.name, checks, [], make_meta(None)).payload()
+    return report(spec.name, [check(name, v, v) for name, v in facts], [],
+                  None)
 
 
 def _parse_composition(text: str) -> Tuple[int, ...]:
@@ -99,12 +101,11 @@ def _parse_composition(text: str) -> Tuple[int, ...]:
 def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str],
               budget: Optional[int]) -> dict:
     g = build_group(spec, budget=budget)
-    checks: List[Check] = []
+    checks: List[dict] = []
     rows: List[dict] = []
     if kind == "red":
         nc = build_nc(g)
-        checks.append(Check("red", str(ll_number(spec)),
-                            str(count_reduced(nc))))
+        checks.append(check("red", ll_number(spec), count_reduced(nc)))
     elif kind == "fact-k":
         if arg is None:
             raise ParseError("count fact-k needs a block count argument")
@@ -115,26 +116,26 @@ def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str],
         if k < 1:
             raise ParseError(f"block count must be >= 1, got {k}")
         nc = build_nc(g)
-        value = str(count_fact_k(nc, k))
-        checks.append(Check(f"fact-k {k}", value, value))
+        value = count_fact_k(nc, k)
+        checks.append(check(f"fact-k {k}", value, value))
     elif kind == "composition":
         if arg is None:
             raise ParseError("count composition needs a c1,c2,... argument")
         parts = _parse_composition(arg)
         nc = build_nc(g)
         try:
-            value = str(count_fact_by_composition(nc, parts))
+            value = count_fact_by_composition(nc, parts)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        checks.append(Check(f"composition {arg}", value, value))
+        checks.append(check(f"composition {arg}", value, value))
     else:  # by-class
         nc = build_nc(g)
         rows = row_records(submaximal_by_class(nc))
-    return Report(spec.name, checks, rows, make_meta(budget)).payload()
+    return report(spec.name, checks, rows, budget)
 
 
 def cmd_verify(spec: GroupSpec, p_max: int, budget: Optional[int]) -> dict:
-    return run_verify(spec, p_max=p_max, budget=budget).payload()
+    return run_verify(spec, p_max=p_max, budget=budget)
 
 
 def _family_records(label: str) -> List[dict]:
@@ -159,23 +160,18 @@ def cmd_table(group_or_family: str, budget: Optional[int]) -> dict:
             entries = " ".join(f"({r}:{u})" for r, u in rec["entries"])
             desc = (f"applies {rec['applies']}; prefactor {rec['prefactor']};"
                     f" entries {entries}")
-            checks.append(Check(f"row-{rec['row']}", desc, desc))
-        return Report(group_or_family.strip().upper(), checks, [],
-                      make_meta(None)).payload()
+            checks.append(check(f"row-{rec['row']}", desc, desc))
+        return report(group_or_family.strip().upper(), checks, [], None)
 
     g = build_group(spec, budget=budget)
     checks, rows = [], []
     if g.rank >= 2:
         rows = submaximal_by_class(build_nc(g))
         checks = [table_rows_check(spec, rows)]
-    return Report(spec.name, checks, row_records(rows),
-                  make_meta(budget)).payload()
+    return report(spec.name, checks, row_records(rows), budget)
 
 
 # ---------------------------------------------------------------- rendering
-
-_ROW_COLS = ("class_id", "label", "d1p", "hp", "r", "u", "count")
-
 
 def _md_checks(checks: List[dict]) -> List[str]:
     lines = ["| check | expected | actual | ok |",
@@ -190,9 +186,7 @@ def _md_checks(checks: List[dict]) -> List[str]:
 def _md_rows(rows: List[dict]) -> List[str]:
     lines = ["| class | label | d1' | h' | r | u | count |",
              "|---|---|---|---|---|---|---|"]
-    for r in rows:
-        lines.append(f"| {r['class_id']} | {r['label']} | {r['d1p']} "
-                     f"| {r['hp']} | {r['r']} | {r['u']} | {r['count']} |")
+    lines += ["| " + " | ".join(r[k] for k in ROW_COLS) + " |" for r in rows]
     return lines
 
 
@@ -229,16 +223,16 @@ def render_csv(payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if payload["checks"]:
-        writer.writerow(["name", "expected", "actual", "pass"])
+        writer.writerow(CHECK_KEYS)
         for c in payload["checks"]:
-            writer.writerow([c["name"], c["expected"], c["actual"],
-                             "true" if c["pass"] else "false"])
+            writer.writerow([c[k] for k in CHECK_KEYS[:-1]]
+                            + ["true" if c["pass"] else "false"])
     if payload["rows"]:
         if payload["checks"]:
             writer.writerow([])
-        writer.writerow(list(_ROW_COLS))
+        writer.writerow(ROW_COLS)
         for r in payload["rows"]:
-            writer.writerow([r[k] for k in _ROW_COLS])
+            writer.writerow([r[k] for k in ROW_COLS])
     return buf.getvalue().rstrip("\n")
 
 
@@ -271,7 +265,7 @@ def _cache_store(path: str, cache: dict) -> None:
     fd, tmp = tempfile.mkstemp(prefix=".ncfact-cache-", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            # compact, so json's C encoder writes it; the payloads replay
+            # compact, so json's C encoder writes it; the reports replay
             # the same either way
             fh.write(json.dumps(cache, sort_keys=True) + "\n")
         os.replace(tmp, path)
@@ -295,13 +289,12 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-# the keys of each check and each row of a payload
-_ITEM_KEYS = {"checks": {"name", "expected", "actual", "pass"},
-              "rows": set(_ROW_COLS)}
+# the keys of each check and each row of a report
+_ITEM_KEYS = {"checks": set(CHECK_KEYS), "rows": set(ROW_COLS)}
 
 
 def _is_payload(entry: object) -> bool:
-    """Whether a cached entry is shaped like a payload, so it renders."""
+    """Whether a cached entry is shaped like a report, so it renders."""
     return (isinstance(entry, dict)
             and entry.keys() == {"group", "meta", *_ITEM_KEYS}
             and isinstance(entry["group"], str)

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 from ncfact.errors import (NonIntegerResult, NoTableRow, RankTooSmall,
                            exact_quotient)
 from ncfact.families import GroupSpec
-from ncfact.ncp import fuss_catalan
 
 if TYPE_CHECKING:  # only the table and the prefactor need a rational
     from fractions import Fraction
@@ -52,6 +51,18 @@ def _as_int(value: Fraction, what: str) -> int:
     if value.denominator != 1:
         raise NonIntegerResult(f"{what} = {value} is not an integer")
     return value.numerator
+
+
+def fuss_catalan(spec: GroupSpec, p: int) -> int:
+    """prod_i (d_i + p*h) / d_i, exactly."""
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    num = den = 1
+    for d in spec.degrees:
+        num *= d + p * spec.h
+        den *= d
+    return exact_quotient(num, den,
+                          f"Fuss-Catalan value for {spec.name}, p={p}")
 
 
 def ll_number(spec: GroupSpec) -> int:

@@ -28,8 +28,8 @@ from bisect import bisect_left
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ncfact import kernels
-from ncfact.errors import NotInNC, RankTooSmall, exact_quotient
-from ncfact.families import GroupSpec
+from ncfact.closedform import fuss_catalan
+from ncfact.errors import NotInNC, RankTooSmall
 from ncfact.groups import ClassId, Element, Group
 
 
@@ -153,18 +153,6 @@ def build_nc(group: Group) -> NcPoset:
     if group._nc is None:
         group._nc = NcPoset(group)
     return group._nc
-
-
-def fuss_catalan(spec: GroupSpec, p: int) -> int:
-    """prod_i (d_i + p*h) / d_i, exactly."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    num = den = 1
-    for d in spec.degrees:
-        num *= d + p * spec.h
-        den *= d
-    return exact_quotient(num, den,
-                          f"Fuss-Catalan value for {spec.name}, p={p}")
 
 
 def transfer(nc: NcPoset, vec: Sequence[int], jumps: range) -> List[int]:

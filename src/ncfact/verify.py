@@ -1,11 +1,14 @@
 """Identity suite: run every counting identity against its closed form.
 
-A Report bundles the outcome of one group's verification: a list of named
-checks (expected vs. actual, both rendered as decimal strings so arbitrary
-precision survives serialization), the per-class submaximal rows, and a meta
-block.  Everything here is deterministic: check order is fixed, row order is
-the strata order (size in NC, then class id), and no timing data enters the
-payload.
+A report is the JSON-ready dict that the CLI renders and caches, for
+run_verify and every command alike: {"group", "checks", "rows", "meta"}.
+A check (`check`) names one comparison, expected vs. actual, both rendered
+as decimal strings so arbitrary precision survives serialization, and
+passes iff the strings agree; a row (`row_records`) is one per-class
+submaximal record.  `CHECK_KEYS` and `ROW_COLS` are their keys, in csv
+column order.  Everything here is deterministic: check order is fixed, row
+order is the strata order (size in NC, then class id), and no timing data
+enters the report.
 
 Check inventory, in order:
 
@@ -46,17 +49,17 @@ from __future__ import annotations
 
 import functools
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import __version__, kernels
-from .closedform import (deg_discriminant, expected_ll_data, ll_number,
-                         submax_total, sum_derived_degrees)
+from .closedform import (deg_discriminant, expected_ll_data, fuss_catalan,
+                         ll_number, submax_total, sum_derived_degrees)
 from .errors import NoTableRow
 from .facto import (LLRow, concatenation_fibers, enumerate_reduced,
                     fact_counts, hurwitz_orbit, submaximal_by_class)
 from .families import GroupSpec
 from .groups import build_group
-from .ncp import build_nc, fuss_catalan, transfer
+from .ncp import build_nc, transfer
 
 # Exhaustive checks (explicit reduced tuples, fibers, Hurwitz orbits) are
 # gated on |Red(c)|; above this they are skipped, the identities having
@@ -64,47 +67,26 @@ from .ncp import build_nc, fuss_catalan, transfer
 ORBIT_GATE = 2000
 
 
-class Check(NamedTuple):
+# the keys of a check and the columns of a row, in csv column order
+CHECK_KEYS = ("name", "expected", "actual", "pass")
+ROW_COLS = ("class_id", "label", "d1p", "hp", "r", "u", "count")
+
+
+def check(name: str, expected: object, actual: object) -> dict:
     """One named comparison; passes iff the rendered values agree."""
-
-    name: str
-    expected: str
-    actual: str
-
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.actual
+    expected, actual = str(expected), str(actual)
+    return dict(zip(CHECK_KEYS, (name, expected, actual, expected == actual)))
 
 
-class Report(NamedTuple):
-    """Verification outcome for one group; JSON-ready via payload()."""
-
-    group: str
-    checks: List[Check]
-    rows: List[dict]
-    meta: Dict[str, Optional[str]]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def payload(self) -> dict:
-        return {
-            "group": self.group,
-            "checks": [{"name": c.name, "expected": c.expected,
-                        "actual": c.actual, "pass": c.passed}
-                       for c in self.checks],
-            "rows": self.rows,
-            "meta": dict(self.meta),
-        }
-
-
-def make_meta(budget: Optional[int]) -> Dict[str, Optional[str]]:
-    # seconds stays null by design: timing would break byte-identical
-    # reruns, so wall time goes to stderr instead.
-    return {"version": __version__,
-            "budget": None if budget is None else str(budget),
-            "seconds": None}
+def report(group: str, checks: List[dict], rows: List[dict],
+           budget: Optional[int]) -> dict:
+    """The JSON-ready report of one command.  meta.seconds stays null by
+    design: timing would break byte-identical reruns, so wall time goes to
+    stderr instead."""
+    return {"group": group, "checks": checks, "rows": rows,
+            "meta": {"version": __version__,
+                     "budget": None if budget is None else str(budget),
+                     "seconds": None}}
 
 
 def class_label(row: LLRow) -> str:
@@ -146,16 +128,9 @@ def row_records(rows: Sequence[LLRow]) -> List[dict]:
     """JSON-ready row records; numbers as decimal strings."""
     records = []
     for row in rows:
-        digest = sha256(row.class_id).hexdigest()[:16]
-        records.append({
-            "class_id": digest,
-            "label": class_label(row),
-            "d1p": str(row.parabolic[0]),
-            "hp": str(row.parabolic[1]),
-            "r": str(row.r),
-            "u": str(row.u),
-            "count": str(row.count),
-        })
+        values = (sha256(row.class_id).hexdigest()[:16], class_label(row),
+                  *row.parabolic, row.r, row.u, row.count)
+        records.append(dict(zip(ROW_COLS, map(str, values))))
     return records
 
 
@@ -170,26 +145,26 @@ def expected_r(row: LLRow) -> object:
     return Fraction(2 * hp, d1)
 
 
-def table_rows_check(spec: GroupSpec, rows: Sequence[LLRow]) -> Check:
+def table_rows_check(spec: GroupSpec, rows: Sequence[LLRow]) -> dict:
     """Enumerated (r, u, count) triples vs. the expected table row."""
     try:
         exp = expected_ll_data(spec)
     except NoTableRow:
         note = "no table row for this family (internal identities only)"
-        return Check("table-rows", note, note)
+        return check("table-rows", note, note)
     want = sorted((r, u, c) for (r, u), c in zip(exp.entries, exp.counts))
     got = sorted((row.r, row.u, row.count) for row in rows)
-    return Check("table-rows", str(want), str(got))
+    return check("table-rows", want, got)
 
 
 def run_verify(spec: GroupSpec, p_max: int = 4,
-               budget: Optional[int] = None) -> Report:
-    """Run the whole identity suite on one group."""
+               budget: Optional[int] = None) -> dict:
+    """Run the whole identity suite on one group: its report."""
     g = build_group(spec, budget=budget)
-    checks: List[Check] = []
+    checks: List[dict] = []
 
     def add(name: str, expected: object, actual: object) -> None:
-        checks.append(Check(name, str(expected), str(actual)))
+        checks.append(check(name, expected, actual))
 
     car = g.carrier
     add("group-order", spec.order, kernels.schreier_sims(car.gens)[0])
@@ -243,5 +218,4 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
                 if size != len(g.reflections_below(fact.factors[0])))
             add("fiber-mismatches", 0, mismatches)
 
-    return Report(group=spec.name, checks=checks,
-                  rows=row_records(rows), meta=make_meta(budget))
+    return report(spec.name, checks, row_records(rows), budget)

@@ -7,7 +7,6 @@ group caching is shared with the rest of the suite, which only ever makes
 the timed work smaller.
 """
 
-import itertools
 import json
 import math
 import time

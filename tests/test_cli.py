@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import ncfact
-from ncfact.cli import main
+from ncfact.cli import _is_payload, cmd_count, cmd_info, cmd_table, main
+from ncfact.families import parse_group
+from ncfact.verify import run_verify
 
 
 def child_env():
@@ -289,6 +291,19 @@ def test_corrupt_cache_is_left_unchanged(capsys, tmp_path):
         assert code == 0 and out == fresh
         assert "not a readable cache" in err
         assert cache.read_bytes() == junk
+
+
+def test_every_fresh_report_is_cache_shaped():
+    # what a command builds is what a cache hit accepts and replays
+    b3 = parse_group("B3")
+    reports = [cmd_info(b3), cmd_table("H3", None), cmd_table("GEEN", None),
+               run_verify(parse_group("A1")), run_verify(b3)]
+    reports += [cmd_count(b3, kind, arg, None)
+                for kind, arg in (("red", None), ("fact-k", "2"),
+                                  ("composition", "2,1"), ("by-class", None))]
+    for rep in reports:
+        assert rep["checks"] or rep["rows"], rep["group"]
+        assert _is_payload(rep), rep["group"]
 
 
 @pytest.mark.parametrize("entry", [7, {"group": "A3"}])

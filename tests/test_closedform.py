@@ -10,7 +10,7 @@ from ncfact.closedform import (deg_discriminant, deg_jacobian,
                                expected_ll_data, ll_number, prefactor_of,
                                submax_total, sum_derived_degrees,
                                table_records)
-from ncfact.errors import NonIntegerResult, NoTableRow, RankTooSmall
+from ncfact.errors import NoTableRow, RankTooSmall
 from ncfact.families import parse_group
 
 SWEEP = [

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ncfact.errors import ParseError, UnsupportedGroup
-from ncfact.families import GroupSpec, parse_group
+from ncfact.families import parse_group
 
 
 @pytest.mark.parametrize("text,family,d,n", [

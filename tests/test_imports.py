@@ -1,5 +1,6 @@
-"""Every module under src/ncfact uses every name it imports, none lists a
-group, and `import ncfact.cli` stays cheap.
+"""Every module under src/ncfact and tests/ uses every name it imports, no
+module under src/ncfact lists a group, and `import ncfact.cli` stays
+cheap.
 
 No linter ships with the package, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module, or be
@@ -22,6 +23,7 @@ import ncfact
 
 SRC = Path(ncfact.__file__).resolve().parent
 LAYERS = SRC.parents[1] / "perfbench" / "layers.py"
+TESTS = Path(__file__).resolve().parent
 
 
 def _unused_imports(tree):
@@ -46,9 +48,9 @@ def _unused_imports(tree):
 
 def test_no_unused_imports():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
         tree = ast.parse(path.read_text(), filename=str(path))
-        unused += [f"{path.name}:{line}: {name}"
+        unused += [f"{path.parent.name}/{path.name}:{line}: {name}"
                    for line, name in _unused_imports(tree)]
     assert unused == []
 

@@ -1,13 +1,12 @@
 """NC poset: sizes, grading, chain counting vs. oracle, strata."""
 
 import itertools
-import math
 from collections import Counter
 
 import pytest
 
 from ncfact import build_group, build_nc, kernels
-from ncfact.errors import NonIntegerResult, NotInNC, RankTooSmall
+from ncfact.errors import NotInNC, RankTooSmall
 from ncfact.facto import (count_fact_by_composition, count_fact_k,
                           fact_counts, submaximal_by_class)
 from ncfact.families import parse_group

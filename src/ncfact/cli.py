@@ -33,12 +33,17 @@ run, which nothing needs: the cache file and its lock are closed by then.
 If a flush fails, e.g. on a closed pipe, the run leaves through SystemExit
 instead, and the interpreter reports the failure as it always did.  main()
 itself just returns, so callers in the same process see no difference.
-Modules that only some runs need load in the functions that use them: csv
-(csv output), tempfile (a cache miss), fcntl (--cache), copy (the family
-table), fractions (verify and table, where a value can be rational), and
-CPython's own SHA-256 module (class ids and the cache key; `verify.sha256`,
-which loads hashlib, and with it OpenSSL, only when that module is
-missing).
+Modules that only some runs need load where they are used.  The lattice
+modules are lazy (see the package docstring), so cli binds them as modules
+and calls `groups.build_group(...)`: `info` and `table FAMILY` run only
+closedform of them, a cache hit none, and `count`, `verify` and `table
+GROUP` kernels, closedform, groups, ncp and facto, plus rootdata and exact
+on an exceptional type.  A test spy patches the defining module, e.g.
+`ncfact.facto.count_reduced`: cli binds no such name.  From the standard
+library: csv (csv output), tempfile (a cache miss), fcntl (--cache), copy
+(the family table), fractions (verify and table, where a value can be
+rational), and CPython's own SHA-256 module (class ids and the cache key;
+`verify.sha256` loads hashlib, and with it OpenSSL, only without it).
 """
 
 from __future__ import annotations
@@ -54,17 +59,11 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
-from . import __version__
-from .closedform import (deg_discriminant, deg_jacobian, fuss_catalan,
-                         ll_number, table_records)
+from . import __version__, closedform, facto, groups, ncp
 from .errors import (BudgetExceeded, IndexOutOfRange, NonIntegerResult,
                      NoTableRow, NotInNC, NotLengthTwo, ParseError,
                      RankTooSmall, UnsupportedGroup)
-from .facto import (count_fact_by_composition, count_fact_k, count_reduced,
-                    submaximal_by_class)
 from .families import GroupSpec, parse_group
-from .groups import build_group
-from .ncp import build_nc
 from .verify import (CHECK_KEYS, ROW_COLS, check, report, row_records,
                      run_verify, sha256, table_rows_check)
 
@@ -80,10 +79,10 @@ def cmd_info(spec: GroupSpec) -> dict:
         ("coxeter-number", spec.h),
         ("order", spec.order),
         ("reflections", spec.num_reflections),
-        ("catalan", fuss_catalan(spec, 1)),
-        ("ll-number", ll_number(spec)),
-        ("deg-discriminant", deg_discriminant(spec)),
-        ("deg-jacobian", deg_jacobian(spec)),
+        ("catalan", closedform.fuss_catalan(spec, 1)),
+        ("ll-number", closedform.ll_number(spec)),
+        ("deg-discriminant", closedform.deg_discriminant(spec)),
+        ("deg-jacobian", closedform.deg_jacobian(spec)),
         ("two-reflection", "yes" if spec.is_two_reflection else "no"),
     ]
     return report(spec.name, [check(name, v, v) for name, v in facts], [],
@@ -100,12 +99,13 @@ def _parse_composition(text: str) -> Tuple[int, ...]:
 
 def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str],
               budget: Optional[int]) -> dict:
-    g = build_group(spec, budget=budget)
+    g = groups.build_group(spec, budget=budget)
     checks: List[dict] = []
     rows: List[dict] = []
     if kind == "red":
-        nc = build_nc(g)
-        checks.append(check("red", ll_number(spec), count_reduced(nc)))
+        nc = ncp.build_nc(g)
+        checks.append(check("red", closedform.ll_number(spec),
+                            facto.count_reduced(nc)))
     elif kind == "fact-k":
         if arg is None:
             raise ParseError("count fact-k needs a block count argument")
@@ -115,22 +115,22 @@ def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str],
             raise ParseError(f"bad block count {arg!r}") from None
         if k < 1:
             raise ParseError(f"block count must be >= 1, got {k}")
-        nc = build_nc(g)
-        value = count_fact_k(nc, k)
+        nc = ncp.build_nc(g)
+        value = facto.count_fact_k(nc, k)
         checks.append(check(f"fact-k {k}", value, value))
     elif kind == "composition":
         if arg is None:
             raise ParseError("count composition needs a c1,c2,... argument")
         parts = _parse_composition(arg)
-        nc = build_nc(g)
+        nc = ncp.build_nc(g)
         try:
-            value = count_fact_by_composition(nc, parts)
+            value = facto.count_fact_by_composition(nc, parts)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
         checks.append(check(f"composition {arg}", value, value))
     else:  # by-class
-        nc = build_nc(g)
-        rows = row_records(submaximal_by_class(nc))
+        nc = ncp.build_nc(g)
+        rows = row_records(facto.submaximal_by_class(nc))
     return report(spec.name, checks, rows, budget)
 
 
@@ -141,7 +141,7 @@ def cmd_verify(spec: GroupSpec, p_max: int, budget: Optional[int]) -> dict:
 def _family_records(label: str) -> List[dict]:
     """Symbolic table rows matching a family label like B, GEEN, or G24."""
     key = label.strip().upper()
-    matches = [rec for rec in table_records()
+    matches = [rec for rec in closedform.table_records()
                if rec["row"].upper() == key
                or rec["row"].upper().startswith(key + "-")]
     return matches
@@ -163,10 +163,10 @@ def cmd_table(group_or_family: str, budget: Optional[int]) -> dict:
             checks.append(check(f"row-{rec['row']}", desc, desc))
         return report(group_or_family.strip().upper(), checks, [], None)
 
-    g = build_group(spec, budget=budget)
+    g = groups.build_group(spec, budget=budget)
     checks, rows = [], []
     if g.rank >= 2:
-        rows = submaximal_by_class(build_nc(g))
+        rows = facto.submaximal_by_class(ncp.build_nc(g))
         checks = [table_rows_check(spec, rows)]
     return report(spec.name, checks, row_records(rows), budget)
 

@@ -4,17 +4,21 @@ Accepted grammar (case-insensitive): A<n> n>=1, B<n> n>=2, D<n> n>=2,
 I2(e) e>=3, G(d,1,n) d>=2 n>=1, G(e,e,n), H3, H4, F4, E6, E7, E8.
 Inputs are canonicalized: G(2,1,n>=2) -> B<n>, G(2,1,1) -> A1, G(e,e,2) ->
 I2(e) (e>=3) or D2, G(2,2,n) -> D<n>.  Everything here is closed-form
-(degrees, order, Coxeter number) and never enumerates a group.
+(degrees, order, Coxeter number) and never enumerates a group.  The
+exceptional degrees come from data/groups.json, which also holds the Gram
+data that rootdata builds the root systems from.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 import re
+from pathlib import Path
 from typing import NamedTuple, Tuple
 
 from ncfact.errors import ParseError, UnsupportedGroup
-from ncfact.rootdata import exceptional_degrees
 
 EXCEPTIONAL = ("H3", "H4", "F4", "E6", "E7", "E8")
 
@@ -23,6 +27,17 @@ _RE_I2 = re.compile(r"^I2\s*\(\s*(\d+)\s*\)$", re.IGNORECASE)
 _RE_G = re.compile(r"^G\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)$",
                    re.IGNORECASE)
 _RE_EXC = re.compile(r"^(H3|H4|F4|E6|E7|E8)$", re.IGNORECASE)
+
+
+@functools.cache
+def group_data() -> dict:
+    """data/groups.json: degrees, roots and Gram data per exceptional type."""
+    path = Path(__file__).resolve().parent / "data" / "groups.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def exceptional_degrees(name: str) -> Tuple[int, ...]:
+    return tuple(group_data()[name]["degrees"])
 
 
 class GroupSpec(NamedTuple):

@@ -25,10 +25,9 @@ import functools
 import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ncfact import kernels
+from ncfact import kernels, rootdata
 from ncfact.errors import BudgetExceeded, NotInNC, NotLengthTwo, RankTooSmall
 from ncfact.families import GroupSpec, parse_group
-from ncfact.rootdata import build_root_system
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -185,7 +184,7 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
 
 
 def _carrier_root(name: str) -> _Carrier:
-    rs = build_root_system(name)
+    rs = rootdata.build_root_system(name)
     cox = functools.reduce(kernels.compose, rs.simple_perms)
     last = rs.npoints - 1
     # t negates exactly one +/- root pair, root i and root last - i;

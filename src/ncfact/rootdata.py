@@ -12,13 +12,12 @@ beta = s_i(gamma), and s_beta = s_i s_gamma s_i is then two composes.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ncfact import kernels
 from ncfact.exact import GOLDEN_ONE, GOLDEN_ZERO, Golden, matrix_rank
+from ncfact.families import group_data
 
 Vector = Tuple[Golden, ...]
 
@@ -121,18 +120,8 @@ def _reflect(form: Vector, beta: Vector, x: Vector) -> Vector:
 
 
 @lru_cache(maxsize=None)
-def _raw_data() -> dict:
-    path = Path(__file__).resolve().parent / "data" / "groups.json"
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-def exceptional_degrees(name: str) -> Tuple[int, ...]:
-    return tuple(_raw_data()[name]["degrees"])
-
-
-@lru_cache(maxsize=None)
 def build_root_system(name: str) -> RootSystem:
-    data = _raw_data()[name]
+    data = group_data()[name]
     # Q(phi) entries are [a, b] pairs for a + b*phi; Q entries are integers
     entry = (lambda ab: Golden(*ab)) if data["field"] == "Q(phi)" else Golden
     gram = tuple(tuple(entry(x) for x in row) for row in data["gram"])

@@ -51,15 +51,9 @@ import functools
 from math import comb
 from typing import List, Optional, Sequence
 
-from . import __version__, kernels
-from .closedform import (deg_discriminant, expected_ll_data, fuss_catalan,
-                         ll_number, submax_total, sum_derived_degrees)
+from . import __version__, closedform, facto, groups, kernels, ncp
 from .errors import NoTableRow
-from .facto import (LLRow, concatenation_fibers, enumerate_reduced,
-                    fact_counts, hurwitz_orbit, submaximal_by_class)
 from .families import GroupSpec
-from .groups import build_group
-from .ncp import build_nc, transfer
 
 # Exhaustive checks (explicit reduced tuples, fibers, Hurwitz orbits) are
 # gated on |Red(c)|; above this they are skipped, the identities having
@@ -89,7 +83,7 @@ def report(group: str, checks: List[dict], rows: List[dict],
                      "seconds": None}}
 
 
-def class_label(row: LLRow) -> str:
+def class_label(row: facto.LLRow) -> str:
     """Human name for a rank-2 parabolic class, e.g. A2 or Z3xA1."""
     d1, hp = row.parabolic
     if row.reducible:
@@ -124,7 +118,7 @@ def sha256(data: bytes = b""):
     return _sha256_type()(data)
 
 
-def row_records(rows: Sequence[LLRow]) -> List[dict]:
+def row_records(rows: Sequence[facto.LLRow]) -> List[dict]:
     """JSON-ready row records; numbers as decimal strings."""
     records = []
     for row in rows:
@@ -134,7 +128,7 @@ def row_records(rows: Sequence[LLRow]) -> List[dict]:
     return records
 
 
-def expected_r(row: LLRow) -> object:
+def expected_r(row: facto.LLRow) -> object:
     """LL number of the rank-2 parabolic: 2h'/d1' when irreducible; a
     product of two rank-1 groups has LL number 2 (the two interleavings)
     whatever its degrees."""
@@ -145,10 +139,10 @@ def expected_r(row: LLRow) -> object:
     return Fraction(2 * hp, d1)
 
 
-def table_rows_check(spec: GroupSpec, rows: Sequence[LLRow]) -> dict:
+def table_rows_check(spec: GroupSpec, rows: Sequence[facto.LLRow]) -> dict:
     """Enumerated (r, u, count) triples vs. the expected table row."""
     try:
-        exp = expected_ll_data(spec)
+        exp = closedform.expected_ll_data(spec)
     except NoTableRow:
         note = "no table row for this family (internal identities only)"
         return check("table-rows", note, note)
@@ -160,7 +154,7 @@ def table_rows_check(spec: GroupSpec, rows: Sequence[LLRow]) -> dict:
 def run_verify(spec: GroupSpec, p_max: int = 4,
                budget: Optional[int] = None) -> dict:
     """Run the whole identity suite on one group: its report."""
-    g = build_group(spec, budget=budget)
+    g = groups.build_group(spec, budget=budget)
     checks: List[dict] = []
 
     def add(name: str, expected: object, actual: object) -> None:
@@ -172,32 +166,33 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
         len({t for t in car.refl_perms if car.codim(t) == 1}))
     add("coxeter-order", spec.h, g.element_order(g.coxeter))
 
-    nc = build_nc(g)
+    nc = ncp.build_nc(g)
     n = g.rank
-    add("nc-size-catalan", fuss_catalan(spec, 1), nc.size)
+    add("nc-size-catalan", closedform.fuss_catalan(spec, 1), nc.size)
     # chains[j] counts the multichains of length p ending at j, so one
     # transfer step takes p - 1 to p
     chains = [1] * nc.size
     for p in range(2, p_max + 1):
-        chains = transfer(nc, chains, range(n + 1))
-        add(f"multichains-p{p}", fuss_catalan(spec, p), sum(chains))
+        chains = ncp.transfer(nc, chains, range(n + 1))
+        add(f"multichains-p{p}", closedform.fuss_catalan(spec, p), sum(chains))
 
-    fact_k = fact_counts(nc)
+    fact_k = facto.fact_counts(nc)
     red = fact_k[n]
-    add("reduced-count", ll_number(spec), red)
+    add("reduced-count", closedform.ll_number(spec), red)
     for p in range(0, p_max + 1):
         lhs = sum(comb(p + 1, k) * fact_k[k] for k in range(1, n + 1))
-        add(f"factorization-binomial-p{p}", fuss_catalan(spec, p), lhs)
+        add(f"factorization-binomial-p{p}",
+            closedform.fuss_catalan(spec, p), lhs)
 
-    rows: List[LLRow] = []
+    rows: List[facto.LLRow] = []
     if n >= 2:
-        rows = submaximal_by_class(nc)
+        rows = facto.submaximal_by_class(nc)
         total = sum(row.count for row in rows)
-        add("submax-total", submax_total(spec), total)
+        add("submax-total", closedform.submax_total(spec), total)
         add("submax-dp-agrees", fact_k[n - 1], total)
-        add("degree-sum-r-u", deg_discriminant(spec),
+        add("degree-sum-r-u", closedform.deg_discriminant(spec),
             sum(row.r * row.u for row in rows))
-        add("degree-sum-u", sum_derived_degrees(spec),
+        add("degree-sum-u", closedform.sum_derived_degrees(spec),
             sum(row.u for row in rows))
         for i, row in enumerate(rows):
             add(f"r-ll-class{i}", expected_r(row), row.r)
@@ -207,11 +202,11 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
         checks.append(table_rows_check(spec, rows))
 
     if red <= ORBIT_GATE:
-        reduced = enumerate_reduced(nc)
+        reduced = facto.enumerate_reduced(nc)
         add("hurwitz-transitive", red,
-            len(hurwitz_orbit(g, reduced[0], cap=ORBIT_GATE)))
+            len(facto.hurwitz_orbit(g, reduced[0], cap=ORBIT_GATE)))
         if n >= 2:
-            fibers = concatenation_fibers(g, reduced)
+            fibers = facto.concatenation_fibers(g, reduced)
             add("fiber-sum-reduced", red, sum(fibers.values()))
             mismatches = sum(
                 1 for fact, size in fibers.items()

@@ -186,7 +186,7 @@ def test_non_positive_budget_is_a_usage_error(capsys, argv, budget):
 
 
 def test_exit_code_failed_check(capsys, monkeypatch):
-    monkeypatch.setattr("ncfact.cli.count_reduced", lambda nc: 999)
+    monkeypatch.setattr("ncfact.facto.count_reduced", lambda nc: 999)
     code, out, _ = run_cli(capsys, "count", "B3", "red")
     assert code == 1
     assert "red: 999" in out

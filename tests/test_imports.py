@@ -6,8 +6,10 @@ No linter ships with the package, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module, or be
 listed in the module's `__all__` (a re-export); only the body of
 `Group.length_table` may call a routine that lists a whole group; and no
-module imports `dataclasses`.  A fresh interpreter then checks which
-modules `import ncfact.cli` loads.
+module imports `dataclasses`; the modules the CLI imports at start-up bind
+no name from a lazy lattice module.  Fresh interpreters then check which
+modules `import ncfact.cli` loads and which each command executes, and
+the package's public names resolve to their defining modules.
 """
 
 import ast
@@ -208,3 +210,165 @@ def test_digests_never_load_openssl(tmp_path):
     assert "_hashlib" not in verify and "hashlib" not in verify
     assert "_hashlib" not in hit and "hashlib" not in hit
     assert _builtin_sha256() in verify and _builtin_sha256() in hit
+
+
+# executed by `import ncfact.cli`; every other ncfact module is registered
+# lazily by the package and executes on its first attribute access
+EAGER = ("ncfact", "ncfact.cli", "ncfact.errors", "ncfact.families",
+         "ncfact.verify")
+LAZY = ("kernels", "exact", "rootdata", "closedform", "groups", "ncp",
+        "facto")
+# modules the CLI imports at start-up, and so must not bind from a lazy one
+START_UP = ("__init__.py", "cli.py", "verify.py", "families.py", "errors.py")
+
+# prints the exit code of main(argv) (None without argv), the ncfact
+# modules in sys.modules, and those among them that have executed (a lazy
+# module is of a ModuleType subclass until then)
+_STATE = """\
+import sys, types
+from ncfact.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else None
+names = sorted(m for m in sys.modules if m.split(".")[0] == "ncfact")
+print(code)
+print(" ".join(names))
+print(" ".join(m for m in names if type(sys.modules[m]) is types.ModuleType))
+"""
+
+
+def _state(*argv):
+    """(exit code, ncfact modules loaded, ncfact modules executed) of one
+    CLI run in a fresh interpreter, or of the import alone."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent)] + [p for p in os.environ.get(
+            "PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", _STATE, *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    code, loaded, executed = proc.stdout.splitlines()[-3:]
+    return code, set(loaded.split()), set(executed.split())
+
+
+def test_cli_import_executes_only_the_start_up_modules():
+    # the traced modules are in sys.modules from the start, which is what
+    # the benchmark's tracer looks up; only the CLI's own path executes
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    _, loaded, executed = _state()
+    targets = {m for m, _, _ in layers.SPAN_TARGETS + layers.COUNT_TARGETS}
+    assert sorted(targets - loaded) == []
+    assert loaded == set(EAGER) | {f"ncfact.{m}" for m in LAZY}
+    assert sorted(executed) == sorted(EAGER)
+
+
+@pytest.mark.parametrize("argv", [["info", "A3"], ["info", "H3"],
+                                  ["table", "B"]])
+def test_closed_form_commands_execute_no_lattice_module(argv):
+    code, _, executed = _state(*argv)
+    assert code == "0"
+    assert executed == set(EAGER) | {"ncfact.closedform"}
+
+
+def test_a_cache_hit_executes_no_lattice_module(tmp_path):
+    argv = ["count", "A3", "red", "--cache", str(tmp_path / "cache.json")]
+    miss, hit = _state(*argv), _state(*argv)
+    assert miss[0] == hit[0] == "0"
+    assert "ncfact.facto" in miss[2]
+    assert hit[2] == set(EAGER)
+
+
+def test_verify_executes_every_module():
+    code, loaded, executed = _state("verify", "H3")
+    assert code == "0"
+    assert executed == loaded == set(EAGER) | {f"ncfact.{m}" for m in LAZY}
+
+
+def _lazy_bindings(tree):
+    """(line, statement) for each import outside a function that would
+    execute a lazy module at once: `from ncfact.<lazy> import x`, `from
+    .<lazy> import x` or `import ncfact.<lazy>`; the body of an `if
+    TYPE_CHECKING:` block never runs."""
+    lazy = {f"ncfact.{m}" for m in LAZY}
+    found = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                continue
+            if (isinstance(node, ast.If)
+                    and ast.unparse(node.test).endswith("TYPE_CHECKING")):
+                visit(node.orelse)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([a.name for a in node.names]
+                           if isinstance(node, ast.Import) else
+                           [("ncfact." if node.level else "")
+                            + (node.module or "")])
+                if any(".".join(m.split(".")[:2]) in lazy for m in modules):
+                    found.append((node.lineno, ast.unparse(node)))
+            else:
+                visit(ast.iter_child_nodes(node))
+
+    visit(tree.body)
+    return found
+
+
+def test_start_up_modules_bind_no_lazy_module_name():
+    # `from ncfact import groups` keeps groups lazy; `from ncfact.groups
+    # import build_group` at module level would execute it on every run
+    found = []
+    for name in START_UP:
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        found += [f"{name}:{line}: {text}"
+                  for line, text in _lazy_bindings(tree)]
+    assert found == []
+
+
+def test_lazy_binding_checker_sees_eager_imports():
+    tree = ast.parse(
+        "from ncfact import groups, errors\nfrom .errors import X\n"
+        "from .ncp import build_nc\nfrom ncfact.facto import LLRow\n"
+        "import ncfact.kernels\nif TYPE_CHECKING:\n"
+        "    from ncfact.groups import Group\n"
+        "try:\n    from .exact import Golden\nexcept ImportError:\n"
+        "    pass\ndef f():\n    from ncfact.groups import build_group\n")
+    assert _lazy_bindings(tree) == [
+        (3, "from .ncp import build_nc"),
+        (4, "from ncfact.facto import LLRow"),
+        (5, "import ncfact.kernels"),
+        (9, "from .exact import Golden")]
+
+
+def _top_level_definitions():
+    """name -> the modules under src/ncfact that define it at top level
+    (def, class or assignment)."""
+    homes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                homes.setdefault(name, []).append(path.stem)
+    return homes
+
+
+def test_public_api_resolves_to_the_defining_modules():
+    homes = _top_level_definitions()
+    wrong = []
+    for name in set(ncfact.__all__) - {"__version__"}:
+        home = importlib.import_module(f"ncfact.{homes[name][0]}")
+        if (len(homes[name]) != 1
+                or getattr(ncfact, name) is not vars(home)[name]
+                or name not in dir(ncfact)):
+            wrong.append(name)
+    assert wrong == []
+    namespace = {}
+    exec("from ncfact import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(ncfact.__all__)
+    with pytest.raises(AttributeError):
+        ncfact.no_such_name

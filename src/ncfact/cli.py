@@ -3,8 +3,11 @@
 The subcommands are info, verify, count and table; `HELP` below is the one
 help text of the CLI: `-h` prints it, a usage error prints its usage line
 for the command, and README's "Command line" section describes the same
-grammar.  Exit codes: 0 all checks pass, 1 a check failed, 2 parse/usage
-error, 3 work budget exceeded (before the phase starts).
+grammar.  Exit codes: 0 all checks pass, 1 a check failed; a run that
+raises an `NcfactError` prints that class's label and the message on stderr
+and exits with the class's code (see `errors`): 2 a usage error, 3 work
+budget exceeded (before the phase starts), 1 a closed form that is not an
+integer.
 
 The argv parser is table-driven (`_OPTIONS`, `_COMMANDS`, `_CHOICES`) and
 reads a command line as argparse did; tests/oracle.py keeps the argparse
@@ -16,8 +19,9 @@ Every command returns one report, the JSON-ready dict of `verify.report`
 code folds the `pass` of its checks.  Output on stdout is byte-identical
 across runs for the same inputs and version: reports carry numbers as
 decimal strings, key order is sorted, and timing goes to stderr only.  The
-optional cache file stores finished reports keyed by (source digest,
-version, command, group, parameters), where the source digest covers the
+optional cache file stores finished reports under one key, built in
+`_dispatch`: the source digest, the version, the command, the group as the
+report names it and every parameter.  The source digest covers the
 package's code and data files, so an entry written by other code is
 recomputed, never replayed; a cache hit replays exactly the bytes a fresh
 run would print.  A run holds an exclusive lock on the sidecar file
@@ -60,15 +64,10 @@ from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from . import __version__, closedform, facto, groups, ncp
-from .errors import (BudgetExceeded, IndexOutOfRange, NonIntegerResult,
-                     NoTableRow, NotInNC, NotLengthTwo, ParseError,
-                     RankTooSmall, UnsupportedGroup)
+from .errors import NcfactError, ParseError, UnsupportedGroup
 from .families import GroupSpec, parse_group
 from .verify import (CHECK_KEYS, ROW_COLS, check, report, row_records,
                      run_verify, sha256, table_rows_check)
-
-_USAGE_ERRORS = (ParseError, UnsupportedGroup, RankTooSmall, NotLengthTwo,
-                 NotInNC, IndexOutOfRange)
 
 
 def cmd_info(spec: GroupSpec) -> dict:
@@ -89,24 +88,10 @@ def cmd_info(spec: GroupSpec) -> dict:
                   None)
 
 
-def _parse_composition(text: str) -> Tuple[int, ...]:
-    try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad composition {text!r}: {exc}") from None
-    return parts
-
-
 def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str],
               budget: Optional[int]) -> dict:
-    g = groups.build_group(spec, budget=budget)
-    checks: List[dict] = []
-    rows: List[dict] = []
-    if kind == "red":
-        nc = ncp.build_nc(g)
-        checks.append(check("red", closedform.ll_number(spec),
-                            facto.count_reduced(nc)))
-    elif kind == "fact-k":
+    # ARG is checked before any work
+    if kind == "fact-k":
         if arg is None:
             raise ParseError("count fact-k needs a block count argument")
         try:
@@ -115,21 +100,29 @@ def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str],
             raise ParseError(f"bad block count {arg!r}") from None
         if k < 1:
             raise ParseError(f"block count must be >= 1, got {k}")
-        nc = ncp.build_nc(g)
-        value = facto.count_fact_k(nc, k)
-        checks.append(check(f"fact-k {k}", value, value))
     elif kind == "composition":
         if arg is None:
             raise ParseError("count composition needs a c1,c2,... argument")
-        parts = _parse_composition(arg)
-        nc = ncp.build_nc(g)
+        try:
+            parts = tuple(int(x) for x in arg.split(","))
+        except ValueError as exc:
+            raise ParseError(f"bad composition {arg!r}: {exc}") from None
+    nc = ncp.build_nc(groups.build_group(spec, budget=budget))
+    checks: List[dict] = []
+    rows: List[dict] = []
+    if kind == "red":
+        checks.append(check("red", closedform.ll_number(spec),
+                            facto.count_reduced(nc)))
+    elif kind == "fact-k":
+        value = facto.count_fact_k(nc, k)
+        checks.append(check(f"fact-k {k}", value, value))
+    elif kind == "composition":
         try:
             value = facto.count_fact_by_composition(nc, parts)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
         checks.append(check(f"composition {arg}", value, value))
     else:  # by-class
-        nc = ncp.build_nc(g)
         rows = row_records(facto.submaximal_by_class(nc))
     return report(spec.name, checks, rows, budget)
 
@@ -305,7 +298,7 @@ def _is_payload(entry: object) -> bool:
 
 
 def _with_cache(key: str, path: Optional[str], compute) -> dict:
-    if path is None:
+    if not path:
         return compute()
     import fcntl  # POSIX only, and only --cache needs it
     key = f"{_source_digest()}|{key}"
@@ -361,8 +354,9 @@ any unique prefix; the last repeat wins, and tokens after -- are positional:
   -h, --help      print this help and exit
   --version       print the version and exit
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 work
-budget exceeded (checked before the phase starts)."""
+Exit codes: 0 all checks pass, 1 a check failed or a closed form is not an
+integer, 2 usage error, 3 work budget exceeded (checked before the phase
+starts)."""
 
 # option -> (attribute, default); a default of False marks a flag
 _OPTIONS = {"--format": ("format", "md"), "--budget": ("budget", None),
@@ -538,32 +532,30 @@ def parse_args(argv: List[str]):
     return args
 
 
+# the options that shape how a report is printed or cached, not the report
+_UNKEYED = ("command", "group", "format", "cache", "no_cache")
+
+
 def _dispatch(args: SimpleNamespace) -> dict:
-    budget = args.budget
-    cache_path = None
-    if getattr(args, "cache", None) and not getattr(args, "no_cache", False):
-        cache_path = args.cache
-    if args.command == "info":
-        return cmd_info(parse_group(args.group))
-    if args.command == "verify":
-        if args.p_max < 1:
-            raise ParseError(f"--p-max must be >= 1, got {args.p_max}")
+    command, budget = args.command, args.budget
+    if command == "verify" and args.p_max < 1:
+        raise ParseError(f"--p-max must be >= 1, got {args.p_max}")
+    try:
         spec = parse_group(args.group)
-        key = "|".join([__version__, "verify", spec.name,
-                        f"pmax={args.p_max}", f"budget={budget}"])
-        return _with_cache(key, cache_path,
-                           lambda: cmd_verify(spec, args.p_max, budget))
-    if args.command == "count":
-        spec = parse_group(args.group)
-        key = "|".join([__version__, "count", spec.name,
-                        f"{args.kind}:{args.arg}", f"budget={budget}"])
-        return _with_cache(
-            key, cache_path,
-            lambda: cmd_count(spec, args.kind, args.arg, budget))
-    key = "|".join([__version__, "table", args.group.strip().upper(),
-                    f"budget={budget}"])
-    return _with_cache(key, cache_path,
-                       lambda: cmd_table(args.group, budget))
+        name = spec.name
+    except (ParseError, UnsupportedGroup):
+        if command != "table":
+            raise
+        name = args.group.strip().upper()  # a table family
+    if command == "info":
+        return cmd_info(spec)
+    key = "|".join([__version__, command, name] + [
+        f"{k}={v}" for k, v in sorted(vars(args).items())
+        if k not in _UNKEYED])
+    compute = {"verify": lambda: cmd_verify(spec, args.p_max, budget),
+               "count": lambda: cmd_count(spec, args.kind, args.arg, budget),
+               "table": lambda: cmd_table(args.group, budget)}[command]
+    return _with_cache(key, None if args.no_cache else args.cache, compute)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -578,18 +570,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     start = time.perf_counter()
     try:
         payload = _dispatch(args)
-    except _USAGE_ERRORS as exc:
-        print(f"ncfact: error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"ncfact: budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except NonIntegerResult as exc:
-        print(f"ncfact: non-integer result: {exc}", file=sys.stderr)
-        return 1
-    except NoTableRow as exc:
-        print(f"ncfact: {exc}", file=sys.stderr)
-        return 2
+    except NcfactError as exc:
+        print(f"ncfact: {exc.label}{exc}", file=sys.stderr)
+        return exc.exit_code
     elapsed = time.perf_counter() - start
 
     print(render(args.command, payload, args.format))

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from ncfact.errors import (NonIntegerResult, NoTableRow, RankTooSmall,
                            exact_quotient)
-from ncfact.families import GroupSpec
+from ncfact.families import EXCEPTIONAL, GroupSpec
 
 if TYPE_CHECKING:  # only the table and the prefactor need a rational
     from fractions import Fraction
@@ -165,7 +165,7 @@ def _route(spec: GroupSpec) -> Tuple[str, Optional[int], Optional[int]]:
             return ("GEEN-4-even" if e % 2 == 0
                     else "GEEN-4-odd"), None, e
         return "GEEN-large", n, e
-    if fam in ("H3", "H4", "F4", "E6", "E7", "E8"):
+    if fam in EXCEPTIONAL:
         return fam, None, None
     raise NoTableRow(
         f"no per-class table row covers {spec.name}; rows exist for "

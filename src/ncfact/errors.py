@@ -1,9 +1,12 @@
 """Exception types raised by the public API.
 
 Every error carries a human-readable message; callers that need to branch on
-failure kind catch the specific class.  CLI maps ParseError/UnsupportedGroup
-to exit code 2 and BudgetExceeded to exit code 3.  `exact_quotient` divides
-integers that a closed form says divide exactly, or raises NonIntegerResult.
+failure kind catch the specific class.  Each class also fixes how a CLI run
+that raises it ends: `cli.main` prints "ncfact: " + `label` + the message on
+stderr and exits with `exit_code`.  That is 2 and "error: " unless the class
+says otherwise: BudgetExceeded exits 3, NonIntegerResult 1, and NoTableRow
+prints its message bare.  `exact_quotient` divides integers that a closed
+form says divide exactly, or raises NonIntegerResult.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ import math
 
 class NcfactError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
+    label = "error: "
 
 
 class ParseError(NcfactError):
@@ -31,9 +37,15 @@ class BudgetExceeded(NcfactError):
     """A phase's predicted work, or an orbit, would pass the work budget;
     the message names the group, the phase, the size and the budget."""
 
+    exit_code = 3
+    label = "budget exceeded: "
+
 
 class NonIntegerResult(NcfactError):
     """A closed-form expression that must be an integer is not one."""
+
+    exit_code = 1
+    label = "non-integer result: "
 
 
 def exact_quotient(num: int, den: int, what: str) -> int:
@@ -60,3 +72,5 @@ class IndexOutOfRange(NcfactError):
 
 class NoTableRow(NcfactError):
     """No closed-form per-class row covers the requested group."""
+
+    label = ""

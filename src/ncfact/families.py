@@ -4,7 +4,9 @@ Accepted grammar (case-insensitive): A<n> n>=1, B<n> n>=2, D<n> n>=2,
 I2(e) e>=3, G(d,1,n) d>=2 n>=1, G(e,e,n), H3, H4, F4, E6, E7, E8.
 Inputs are canonicalized: G(2,1,n>=2) -> B<n>, G(2,1,1) -> A1, G(e,e,2) ->
 I2(e) (e>=3) or D2, G(2,2,n) -> D<n>.  Everything here is closed-form
-(degrees, order, Coxeter number) and never enumerates a group.  The
+(degrees, order, Coxeter number) and never enumerates a group.  This is
+the one module that states per-family facts: `EXCEPTIONAL` is the one list
+of exceptional type names, and the rank is the number of degrees.  The
 exceptional degrees come from data/groups.json, which also holds the Gram
 data that rootdata builds the root systems from.
 """
@@ -26,7 +28,6 @@ _RE_LETTER = re.compile(r"^([ABD])\s*(\d+)$", re.IGNORECASE)
 _RE_I2 = re.compile(r"^I2\s*\(\s*(\d+)\s*\)$", re.IGNORECASE)
 _RE_G = re.compile(r"^G\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)$",
                    re.IGNORECASE)
-_RE_EXC = re.compile(r"^(H3|H4|F4|E6|E7|E8)$", re.IGNORECASE)
 
 
 @functools.cache
@@ -36,10 +37,6 @@ def group_data() -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def exceptional_degrees(name: str) -> Tuple[int, ...]:
-    return tuple(group_data()[name]["degrees"])
-
-
 class GroupSpec(NamedTuple):
     """Canonical group descriptor.
 
@@ -47,6 +44,7 @@ class GroupSpec(NamedTuple):
     d: color modulus for monomial families (B: 2, D: 2, I2/GEEN: e, GD1N: d);
        0 for A and the exceptional types.
     n: number of permuted coordinates (I2: 2); 0 for exceptional types.
+    `degrees` reads d and n as stored, so `parse_group` stores them so.
     """
 
     family: str
@@ -55,12 +53,8 @@ class GroupSpec(NamedTuple):
 
     @property
     def name(self) -> str:
-        if self.family == "A":
-            return f"A{self.n}"
-        if self.family == "B":
-            return f"B{self.n}"
-        if self.family == "D":
-            return f"D{self.n}"
+        if self.family in ("A", "B", "D"):
+            return f"{self.family}{self.n}"
         if self.family == "I2":
             return f"I2({self.d})"
         if self.family == "GD1N":
@@ -71,27 +65,19 @@ class GroupSpec(NamedTuple):
 
     @property
     def rank(self) -> int:
-        if self.family == "A":
-            return self.n
-        if self.family in ("B", "D", "GD1N", "GEEN"):
-            return self.n
-        if self.family == "I2":
-            return 2
-        return {"H3": 3, "H4": 4, "F4": 4,
-                "E6": 6, "E7": 7, "E8": 8}[self.family]
+        return len(self.degrees)
 
     @property
     def degrees(self) -> Tuple[int, ...]:
+        d, n = self.d, self.n
+        if self.family in EXCEPTIONAL:
+            return tuple(group_data()[self.family]["degrees"])
         if self.family == "A":
-            return tuple(range(2, self.n + 2))
+            return tuple(range(2, n + 2))
         if self.family in ("B", "GD1N"):
-            d = 2 if self.family == "B" else self.d
-            return tuple(d * i for i in range(1, self.n + 1))
-        if self.family in ("D", "GEEN", "I2"):
-            e = 2 if self.family == "D" else self.d
-            n = 2 if self.family == "I2" else self.n
-            return tuple(sorted([e * i for i in range(1, n)] + [n]))
-        return exceptional_degrees(self.family)
+            return tuple(d * i for i in range(1, n + 1))
+        # D, GEEN and I2: d, 2d, ..., (n-1)d and n
+        return tuple(sorted([d * i for i in range(1, n)] + [n]))
 
     @property
     def h(self) -> int:
@@ -122,10 +108,7 @@ def _canonical_g(a: int, b: int, c: int) -> GroupSpec:
             return (GroupSpec("A", n=1) if c == 1
                     else GroupSpec("B", d=2, n=c))
         return GroupSpec("GD1N", d=a, n=c)
-    if b == a:
-        if a == 1:
-            raise UnsupportedGroup(f"G(1,1,{c}) is the symmetric group; "
-                                   f"use A{c - 1}")
+    if b == a:  # a > 1, as G(1,1,c) has b == 1
         if c == 1:
             raise UnsupportedGroup(f"G({a},{a},1) is trivial")
         if a == 2:
@@ -164,9 +147,8 @@ def parse_group(text: str) -> GroupSpec:
     m = _RE_G.match(s)
     if m:
         return _canonical_g(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    m = _RE_EXC.match(s)
-    if m:
-        return GroupSpec(m.group(1).upper())
+    if s.upper() in EXCEPTIONAL:
+        return GroupSpec(s.upper())
     raise ParseError(f"cannot parse group string {text!r}; expected A<n>, "
                      "B<n>, D<n>, I2(e), G(d,1,n), G(e,e,n), or one of "
-                     "H3 H4 F4 E6 E7 E8")
+                     + " ".join(EXCEPTIONAL))

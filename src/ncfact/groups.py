@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ncfact import kernels, rootdata
 from ncfact.errors import BudgetExceeded, NotInNC, NotLengthTwo, RankTooSmall
-from ncfact.families import GroupSpec, parse_group
+from ncfact.families import EXCEPTIONAL, GroupSpec, parse_group
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -239,16 +239,16 @@ class Group:
     def carrier(self) -> _Carrier:
         fam, d, n = self.spec.family, self.spec.d, self.spec.n
         len_t = self.num_reflections
-        monomial = fam in ("B", "D", "I2", "GD1N", "GEEN")
-        # n+1 points for A(n), n*d colored points, or the 2|T| roots
-        points = n + 1 if fam == "A" else n * d if monomial else 2 * len_t
+        # n+1 points for A(n), the 2|T| roots, or n*d colored points
+        points = (n + 1 if fam == "A" else 2 * len_t if fam in EXCEPTIONAL
+                  else n * d)
         self.check_budget("carrier", len_t * points)
         if fam == "A":
             car = _carrier_a(n)
-        elif monomial:
-            car = _carrier_monomial(d, n, fam in ("B", "GD1N"))
-        else:
+        elif fam in EXCEPTIONAL:
             car = _carrier_root(fam)
+        else:
+            car = _carrier_monomial(d, n, fam in ("B", "GD1N"))
         if len(car.refl_perms) != len_t:
             raise AssertionError(
                 f"{self.name}: built {len(car.refl_perms)} "

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ncfact
+from ncfact import errors
 from ncfact.cli import _is_payload, cmd_count, cmd_info, cmd_table, main
 from ncfact.families import parse_group
 from ncfact.verify import run_verify
@@ -149,6 +150,53 @@ def test_exit_code_usage_errors(capsys):
 def test_exit_code_budget(capsys):
     assert run_cli(capsys, "count", "A12", "red")[0] == 3
     assert run_cli(capsys, "verify", "E7", "--budget", "10")[0] == 3
+
+
+# every error class, with the exit code and the stderr label it ends a run
+# with
+ERROR_ENDINGS = [
+    (errors.NcfactError, 2, "error: "), (errors.ParseError, 2, "error: "),
+    (errors.UnsupportedGroup, 2, "error: "),
+    (errors.RankTooSmall, 2, "error: "),
+    (errors.BudgetExceeded, 3, "budget exceeded: "),
+    (errors.NonIntegerResult, 1, "non-integer result: "),
+    (errors.NotLengthTwo, 2, "error: "), (errors.NotInNC, 2, "error: "),
+    (errors.IndexOutOfRange, 2, "error: "), (errors.NoTableRow, 2, "")]
+
+
+def test_error_endings_cover_every_error_class():
+    classes = {errors.NcfactError}
+    todo = [errors.NcfactError]
+    while todo:
+        found = todo.pop().__subclasses__()
+        classes.update(found)
+        todo += found
+    assert {cls for cls, _, _ in ERROR_ENDINGS} == classes
+
+
+@pytest.mark.parametrize("cls,code,label", ERROR_ENDINGS,
+                         ids=[cls.__name__ for cls, _, _ in ERROR_ENDINGS])
+def test_every_error_class_ends_main_with_its_code_and_label(
+        capsys, monkeypatch, cls, code, label):
+    def dispatch(args):
+        raise cls("the message")
+
+    monkeypatch.setattr("ncfact.cli._dispatch", dispatch)
+    assert run_cli(capsys, "verify", "A3") == (
+        code, "", f"ncfact: {label}the message\n")
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("fact-k", "x"), 2), (("fact-k", "0"), 2),
+    (("composition", "x,y"), 2), (("composition", "1,2"), 3)])
+def test_count_checks_arg_before_the_work(capsys, argv, want):
+    # A12's NC walk is over the default budget: a bad ARG is reported
+    # before it, and a well-formed one reaches it (the composition's sum
+    # is checked on the lattice)
+    code, out, err = run_cli(capsys, "count", "A12", *argv)
+    assert (code, out) == (want, "")
+    assert err.startswith("ncfact: error: " if want == 2
+                          else "ncfact: budget exceeded: A12: NC walk")
 
 
 @pytest.mark.parametrize("group,phase", [

@@ -76,10 +76,15 @@ def test_degrees_order_reflections(name, degrees, order, nrefl):
 
 
 def test_rank_equals_degree_count():
-    for name in ("A5", "B4", "D6", "I2(9)", "G(4,1,3)", "G(5,5,4)",
-                 "H4", "E7"):
+    # rank is defined as the number of degrees, so both are checked against
+    # the literature ranks: n for A(n), B(n), D(n), G(d,1,n) and G(e,e,n),
+    # 2 for I2(e), and the index of an exceptional type
+    ranks = {"A1": 1, "A5": 5, "B4": 4, "D2": 2, "D6": 6, "I2(9)": 2,
+             "G(3,1,1)": 1, "G(4,1,3)": 3, "G(5,5,4)": 4, "G(3,3,6)": 6,
+             "H3": 3, "H4": 4, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+    for name, rank in ranks.items():
         spec = parse_group(name)
-        assert spec.rank == len(spec.degrees)
+        assert spec.rank == len(spec.degrees) == rank, name
 
 
 def test_two_reflection_classification():

@@ -3,16 +3,17 @@
 The subcommands are info, verify, count and table; `HELP` below is the one
 help text of the CLI: `-h` prints it, a usage error prints its usage line
 for the command, and README's "Command line" section describes the same
-grammar.  Exit codes: 0 all checks pass, 1 a check failed; a run that
-raises an `NcfactError` prints that class's label and the message on stderr
-and exits with the class's code (see `errors`): 2 a usage error, 3 work
-budget exceeded (before the phase starts), 1 a closed form that is not an
-integer.
+grammar and the exit codes.  A run that raises an `NcfactError` prints
+that class's label and the message on stderr and exits with the class's
+code (see `errors`).
 
 The argv parser is table-driven (`_OPTIONS`, `_COMMANDS`, `_CHOICES`) and
 reads a command line as argparse did; tests/oracle.py keeps the argparse
 parser, and a property test checks that the two agree.  argparse itself
 cost every run about 7 ms to import (with gettext and locale) and to build.
+The parser checks option values, and `_dispatch` the group and `count`'s
+ARG, once and before the cache or any group; the commands take what it
+resolved, and `cmd_table` looks up a name that is no group as a family.
 
 Every command returns one report, the JSON-ready dict of `verify.report`
 (run_verify's own): `render` prints it, the cache stores it, and the exit
@@ -20,9 +21,9 @@ code folds the `pass` of its checks.  Output on stdout is byte-identical
 across runs for the same inputs and version: reports carry numbers as
 decimal strings, key order is sorted, and timing goes to stderr only.  The
 optional cache file stores finished reports under one key, built in
-`_dispatch`: the source digest, the version, the command, the group as the
-report names it and every parameter.  The source digest covers the
-package's code and data files, so an entry written by other code is
+`_dispatch`: the source digest, the command, the group as the report names
+it and every parameter.  The source digest covers the package's code and
+data files (the version with them), so an entry written by other code is
 recomputed, never replayed; a cache hit replays exactly the bytes a fresh
 run would print.  A run holds an exclusive lock on the sidecar file
 PATH.lock while it reads, computes and stores, so concurrent runs keep each
@@ -37,17 +38,12 @@ run, which nothing needs: the cache file and its lock are closed by then.
 If a flush fails, e.g. on a closed pipe, the run leaves through SystemExit
 instead, and the interpreter reports the failure as it always did.  main()
 itself just returns, so callers in the same process see no difference.
-Modules that only some runs need load where they are used.  The lattice
-modules are lazy (see the package docstring), so cli binds them as modules
-and calls `groups.build_group(...)`: `info` and `table FAMILY` run only
-closedform of them, a cache hit none, and `count`, `verify` and `table
-GROUP` kernels, closedform, groups, ncp and facto, plus rootdata and exact
-on an exceptional type.  A test spy patches the defining module, e.g.
-`ncfact.facto.count_reduced`: cli binds no such name.  From the standard
-library: csv (csv output), tempfile (a cache miss), fcntl (--cache), copy
-(the family table), fractions (verify and table, where a value can be
-rational), and CPython's own SHA-256 module (class ids and the cache key;
-`verify.sha256` loads hashlib, and with it OpenSSL, only without it).
+Modules that only some runs need load where they are used: README's "What
+one run costs" lists which lattice modules each command executes and which
+standard modules load only where used.  The lattice modules are lazy (see
+the package docstring), so cli binds them as modules and calls
+`groups.build_group(...)`; a test spy patches the defining module, e.g.
+`ncfact.facto.count_reduced`: cli binds no such name.
 """
 
 from __future__ import annotations
@@ -61,11 +57,11 @@ import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from . import __version__, closedform, facto, groups, ncp
 from .errors import NcfactError, ParseError, UnsupportedGroup
-from .families import GroupSpec, parse_group
+from .families import GroupSpec, parse_group, validate_composition
 from .verify import (CHECK_KEYS, ROW_COLS, check, report, row_records,
                      run_verify, sha256, table_rows_check)
 
@@ -88,80 +84,51 @@ def cmd_info(spec: GroupSpec) -> dict:
                   None)
 
 
-def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str],
+def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str], value,
               budget: Optional[int]) -> dict:
-    # ARG is checked before any work
-    if kind == "fact-k":
-        if arg is None:
-            raise ParseError("count fact-k needs a block count argument")
-        try:
-            k = int(arg)
-        except ValueError:
-            raise ParseError(f"bad block count {arg!r}") from None
-        if k < 1:
-            raise ParseError(f"block count must be >= 1, got {k}")
-    elif kind == "composition":
-        if arg is None:
-            raise ParseError("count composition needs a c1,c2,... argument")
-        try:
-            parts = tuple(int(x) for x in arg.split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad composition {arg!r}: {exc}") from None
+    """`count`: arg is the ARG text, value what `_count_arg` resolved."""
     nc = ncp.build_nc(groups.build_group(spec, budget=budget))
-    checks: List[dict] = []
-    rows: List[dict] = []
-    if kind == "red":
-        checks.append(check("red", closedform.ll_number(spec),
-                            facto.count_reduced(nc)))
-    elif kind == "fact-k":
-        value = facto.count_fact_k(nc, k)
-        checks.append(check(f"fact-k {k}", value, value))
-    elif kind == "composition":
-        try:
-            value = facto.count_fact_by_composition(nc, parts)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-        checks.append(check(f"composition {arg}", value, value))
-    else:  # by-class
+    if kind == "by-class":
         rows = row_records(facto.submaximal_by_class(nc))
-    return report(spec.name, checks, rows, budget)
+        return report(spec.name, [], rows, budget)
+    if kind == "red":
+        counted = check("red", closedform.ll_number(spec),
+                        facto.count_reduced(nc))
+    elif kind == "fact-k":
+        count = facto.count_fact_k(nc, value)
+        counted = check(f"fact-k {value}", count, count)
+    else:
+        count = facto.count_fact_by_composition(nc, value)
+        counted = check(f"composition {arg}", count, count)
+    return report(spec.name, [counted], [], budget)
 
 
 def cmd_verify(spec: GroupSpec, p_max: int, budget: Optional[int]) -> dict:
     return run_verify(spec, p_max=p_max, budget=budget)
 
 
-def _family_records(label: str) -> List[dict]:
-    """Symbolic table rows matching a family label like B, GEEN, or G24."""
-    key = label.strip().upper()
-    matches = [rec for rec in closedform.table_records()
-               if rec["row"].upper() == key
-               or rec["row"].upper().startswith(key + "-")]
-    return matches
-
-
-def cmd_table(group_or_family: str, budget: Optional[int]) -> dict:
-    try:
-        spec = parse_group(group_or_family)
-    except (ParseError, UnsupportedGroup):
-        records = _family_records(group_or_family)
-        if not records:
-            raise ParseError(
-                f"{group_or_family!r} is neither a group nor a table family")
+def cmd_table(target: Union[GroupSpec, str], budget: Optional[int]) -> dict:
+    """A group's per-class table, or the rows of a table family key."""
+    if isinstance(target, str):
         checks = []
-        for rec in records:
-            entries = " ".join(f"({r}:{u})" for r, u in rec["entries"])
-            desc = (f"applies {rec['applies']}; prefactor {rec['prefactor']};"
-                    f" entries {entries}")
-            checks.append(check(f"row-{rec['row']}", desc, desc))
-        return report(group_or_family.strip().upper(), checks, [], None)
+        for rec in closedform.table_records():
+            row = rec["row"].upper()
+            if row == target or row.startswith(target + "-"):
+                entries = " ".join(f"({r}:{u})" for r, u in rec["entries"])
+                desc = (f"applies {rec['applies']}; prefactor "
+                        f"{rec['prefactor']}; entries {entries}")
+                checks.append(check(f"row-{rec['row']}", desc, desc))
+        if not checks:
+            raise ParseError(
+                f"{target!r} is neither a group nor a table family")
+        return report(target, checks, [], None)
 
-    g = groups.build_group(spec, budget=budget)
+    g = groups.build_group(target, budget=budget)
     checks, rows = [], []
     if g.rank >= 2:
         rows = facto.submaximal_by_class(ncp.build_nc(g))
-        checks = [table_rows_check(spec, rows)]
-    return report(spec.name, checks, row_records(rows), budget)
+        checks = [table_rows_check(target, rows)]
+    return report(target.name, checks, row_records(rows), budget)
 
 
 # ---------------------------------------------------------------- rendering
@@ -340,17 +307,18 @@ well-generated reflection groups.
   info      closed-form facts about a group
   verify    run the identity suite
   count     count factorizations; KIND is red, fact-k (ARG: the number K
-            of blocks), composition (ARG: c1,c2,...) or by-class
+            of blocks), composition (ARG: c1,c2,..., positive parts that
+            sum to the rank) or by-class; red and by-class take no ARG
   table     expected vs. enumerated per-class row, for a group or a table
             family such as B, GEEN or G24
 
 OPTIONS go anywhere after the command, as --opt VALUE or --opt=VALUE, under
 any unique prefix; the last repeat wins, and tokens after -- are positional:
   --format F      md, json or csv (default md)
-  --budget N      work budget, e.g. |NC|*|T| (default 10^7)
+  --budget N      work budget, e.g. |NC|*|T|, N >= 1 (default 10^7)
   --cache PATH    JSON cache file for finished reports (not on info)
   --no-cache      ignore --cache and recompute (not on info)
-  --p-max P       largest Fuss parameter tested (verify only; default 4)
+  --p-max P       largest Fuss parameter, P >= 1 (verify only; default 4)
   -h, --help      print this help and exit
   --version       print the version and exit
 
@@ -418,7 +386,7 @@ def _read(name: str, text: str, command: str):
         except ValueError:
             problem = f"invalid int value: {text!r}"
         else:
-            if name == "--p-max" or value >= 1:
+            if value >= 1:
                 return value
             problem = f"must be >= 1, got {value}"
     raise _ArgvError(f"argument {name}: {problem}", command)
@@ -536,25 +504,54 @@ def parse_args(argv: List[str]):
 _UNKEYED = ("command", "group", "format", "cache", "no_cache")
 
 
+def _count_arg(rank: int, kind: str, arg: Optional[str]):
+    """`count`'s ARG as the command takes it: None for red and by-class,
+    the block count K for fact-k, the parts of a composition of the rank."""
+    if kind in ("red", "by-class"):
+        if arg is not None:
+            raise ParseError(f"count {kind} takes no argument, got {arg!r}")
+        return None
+    if arg is None:
+        what = "a block count" if kind == "fact-k" else "a c1,c2,..."
+        raise ParseError(f"count {kind} needs {what} argument")
+    if kind == "fact-k":
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ParseError(f"bad block count {arg!r}") from None
+        if k < 1:
+            raise ParseError(f"block count must be >= 1, got {k}")
+        return k
+    try:
+        parts = [int(x) for x in arg.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"bad composition {arg!r}: {exc}") from None
+    try:
+        return validate_composition(rank, parts)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def _dispatch(args: SimpleNamespace) -> dict:
     command, budget = args.command, args.budget
-    if command == "verify" and args.p_max < 1:
-        raise ParseError(f"--p-max must be >= 1, got {args.p_max}")
     try:
         spec = parse_group(args.group)
         name = spec.name
     except (ParseError, UnsupportedGroup):
         if command != "table":
             raise
-        name = args.group.strip().upper()  # a table family
+        spec = name = args.group.strip().upper()  # a table family key
     if command == "info":
         return cmd_info(spec)
-    key = "|".join([__version__, command, name] + [
+    if command == "count":
+        value = _count_arg(spec.rank, args.kind, args.arg)
+    key = "|".join([command, name] + [
         f"{k}={v}" for k, v in sorted(vars(args).items())
         if k not in _UNKEYED])
     compute = {"verify": lambda: cmd_verify(spec, args.p_max, budget),
-               "count": lambda: cmd_count(spec, args.kind, args.arg, budget),
-               "table": lambda: cmd_table(args.group, budget)}[command]
+               "count": lambda: cmd_count(spec, args.kind, args.arg, value,
+                                          budget),
+               "table": lambda: cmd_table(spec, budget)}[command]
     return _with_cache(key, None if args.no_cache else args.cache, compute)
 
 

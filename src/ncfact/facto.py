@@ -22,6 +22,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
 
 from ncfact import kernels
 from ncfact.errors import IndexOutOfRange, RankTooSmall, exact_quotient
+from ncfact.families import validate_composition
 from ncfact.groups import ClassId, Element, Group
 from ncfact.ncp import NcClass, NcPoset, build_nc, strata_codim2, transfer
 
@@ -89,16 +90,6 @@ def make_factorization(g: Group, factors: Iterable[Element]) -> Factorization:
     return Factorization(fs)
 
 
-def _validate_composition(nc: NcPoset, comp: Sequence[int]) -> Tuple[int, ...]:
-    parts = tuple(int(x) for x in comp)
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError(f"composition {parts} must have positive parts")
-    if sum(parts) != nc.group.rank:
-        raise ValueError(f"composition {parts} must sum to the rank "
-                         f"{nc.group.rank}")
-    return parts
-
-
 def _count_chains(nc: NcPoset, jump_sets: Iterable[range]) -> int:
     """Chains from the identity to c with t-th rank jump in jump_sets[t]."""
     vec = [0] * nc.size
@@ -110,7 +101,7 @@ def _count_chains(nc: NcPoset, jump_sets: Iterable[range]) -> int:
 
 def count_fact_by_composition(nc: NcPoset, comp: Sequence[int]) -> int:
     """Factorizations with the given length composition, by transfer sums."""
-    parts = _validate_composition(nc, comp)
+    parts = validate_composition(nc.group.rank, comp)
     return _count_chains(nc, [range(part, part + 1) for part in parts])
 
 
@@ -247,7 +238,7 @@ def hurwitz_orbit(g: Group, f: Factorization,
 def enumerate_by_composition(nc: NcPoset,
                              comp: Sequence[int]) -> List[Factorization]:
     """All factorizations with the given composition, explicitly."""
-    parts = _validate_composition(nc, comp)
+    parts = validate_composition(nc.group.rank, comp)
     g = nc.group
     inv = [kernels.inverse(p) for p in nc.perms]
     out: List[Factorization] = []

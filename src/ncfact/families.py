@@ -1,4 +1,4 @@
-"""Group-string parsing and closed-form family data.
+"""Group-string parsing, the composition rule and closed-form family data.
 
 Accepted grammar (case-insensitive): A<n> n>=1, B<n> n>=2, D<n> n>=2,
 I2(e) e>=3, G(d,1,n) d>=2 n>=1, G(e,e,n), H3, H4, F4, E6, E7, E8.
@@ -18,7 +18,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from ncfact.errors import ParseError, UnsupportedGroup
 
@@ -98,19 +98,20 @@ class GroupSpec(NamedTuple):
 
 
 def _canonical_g(a: int, b: int, c: int) -> GroupSpec:
-    if a < 1 or c < 1:
-        raise UnsupportedGroup(f"G({a},{b},{c}) is not supported")
+    if a < 1 or b < 1 or c < 1 or a % b:
+        raise UnsupportedGroup(f"G({a},{b},{c}) is not a group: G(d,e,n) "
+                               "needs d, n >= 1 and e >= 1 dividing d")
+    if b == a and c == 1:
+        raise UnsupportedGroup(f"G({a},{a},1) is trivial")
+    if a == 1:  # so b == 1 and c >= 2
+        raise UnsupportedGroup(f"G(1,1,{c}) is the symmetric group; "
+                               f"use A{c - 1}")
     if b == 1:
-        if a == 1:
-            raise UnsupportedGroup(f"G(1,1,{c}) is the symmetric group; "
-                                   f"use A{c - 1}")
         if a == 2:
             return (GroupSpec("A", n=1) if c == 1
                     else GroupSpec("B", d=2, n=c))
         return GroupSpec("GD1N", d=a, n=c)
-    if b == a:  # a > 1, as G(1,1,c) has b == 1
-        if c == 1:
-            raise UnsupportedGroup(f"G({a},{a},1) is trivial")
+    if b == a:
         if a == 2:
             return GroupSpec("D", d=2, n=c)
         if c == 2:
@@ -119,6 +120,16 @@ def _canonical_g(a: int, b: int, c: int) -> GroupSpec:
     raise UnsupportedGroup(f"G({a},{b},{c}) with 1 < {b} < {a} is imprimitive "
                            "but not well-generated here; only G(d,1,n) and "
                            "G(e,e,n) are supported")
+
+
+def validate_composition(rank: int, comp: Sequence[int]) -> Tuple[int, ...]:
+    """A factorization's block lengths: positive, summing to the rank."""
+    parts = tuple(int(x) for x in comp)
+    if not parts or any(p < 1 for p in parts):
+        raise ValueError(f"composition {parts} must have positive parts")
+    if sum(parts) != rank:
+        raise ValueError(f"composition {parts} must sum to the rank {rank}")
+    return parts
 
 
 def parse_group(text: str) -> GroupSpec:

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     p_verify.add_argument("group")
-    p_verify.add_argument("--p-max", type=int, default=4,
+    p_verify.add_argument("--p-max", type=positive_int, default=4,
                           help="largest Fuss parameter tested (default 4)")
     common(p_verify)
 

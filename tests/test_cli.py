@@ -14,7 +14,8 @@ import pytest
 
 import ncfact
 from ncfact import errors
-from ncfact.cli import _is_payload, cmd_count, cmd_info, cmd_table, main
+from ncfact.cli import (_count_arg, _is_payload, cmd_count, cmd_info,
+                        cmd_table, main)
 from ncfact.families import parse_group
 from ncfact.verify import run_verify
 
@@ -188,15 +189,49 @@ def test_every_error_class_ends_main_with_its_code_and_label(
 
 @pytest.mark.parametrize("argv,want", [
     (("fact-k", "x"), 2), (("fact-k", "0"), 2),
-    (("composition", "x,y"), 2), (("composition", "1,2"), 3)])
+    (("composition", "x,y"), 2), (("composition", "1,11"), 3),
+    (("composition", "1,2"), 2), (("composition", "0,12"), 2),
+    (("red", "5"), 2), (("by-class", "x"), 2)])
 def test_count_checks_arg_before_the_work(capsys, argv, want):
     # A12's NC walk is over the default budget: a bad ARG is reported
-    # before it, and a well-formed one reaches it (the composition's sum
-    # is checked on the lattice)
+    # before it, and a composition of the rank 12 reaches it
     code, out, err = run_cli(capsys, "count", "A12", *argv)
     assert (code, out) == (want, "")
     assert err.startswith("ncfact: error: " if want == 2
                           else "ncfact: budget exceeded: A12: NC walk")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "A3", "fact-k", "x"), ("count", "A3", "fact-k", "0"),
+    ("count", "A3", "fact-k"), ("count", "A3", "composition", "x,y"),
+    ("count", "A3", "composition", "2,-1"),
+    ("count", "A3", "composition", "2,2"), ("count", "A3", "red", "5"),
+    ("count", "A3", "by-class", "x"), ("count", "Q7", "red"),
+    ("table", "NOPE"), ("table", "G(3,5,2)")])
+def test_usage_errors_return_before_any_build(capsys, monkeypatch, tmp_path,
+                                              argv):
+    def build_group(*args, **kwargs):
+        raise AssertionError("build_group called")
+
+    monkeypatch.setattr("ncfact.groups.build_group", build_group)
+    cache = tmp_path / "cache.json"
+    code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert (code, out) == (2, "") and err.startswith("ncfact: error: ")
+    assert not cache.exists()
+
+
+def test_table_parses_the_group_once(capsys, monkeypatch):
+    calls = []
+
+    def spy(text):
+        calls.append(text)
+        return parse_group(text)
+
+    monkeypatch.setattr("ncfact.cli.parse_group", spy)
+    for argv in (("table", "H3"), ("table", "b")):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert calls == [argv[1]]
 
 
 @pytest.mark.parametrize("group,phase", [
@@ -231,6 +266,15 @@ def test_non_positive_budget_is_a_usage_error(capsys, argv, budget):
     assert code == 2
     assert out == ""
     assert "--budget" in err
+
+
+@pytest.mark.parametrize("p_max", ["0", "-1"])
+def test_non_positive_p_max_is_a_usage_error(capsys, p_max):
+    code, out, err = run_cli(capsys, "verify", "A3", "--p-max", p_max)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "usage: ncfact verify GROUP [OPTIONS]",
+        f"ncfact: error: argument --p-max: must be >= 1, got {p_max}"]
 
 
 def test_exit_code_failed_check(capsys, monkeypatch):
@@ -321,8 +365,8 @@ def test_cache_entry_from_other_sources_is_recomputed(capsys, tmp_path):
     assert len(digest) == 64
     stale = json.loads(json.dumps(payload))
     stale["checks"][0]["actual"] = "999"
-    # one entry under another source digest, one under the version-only key
-    # that older code wrote
+    # one entry under another source digest, one under a key with no
+    # digest at all
     cache.write_text(json.dumps({"0" * 64 + "|" + rest: stale, rest: stale}))
     code, out, _ = run_cli(capsys, *argv, "--cache", str(cache))
     assert code == 0 and out == fresh
@@ -344,9 +388,10 @@ def test_corrupt_cache_is_left_unchanged(capsys, tmp_path):
 def test_every_fresh_report_is_cache_shaped():
     # what a command builds is what a cache hit accepts and replays
     b3 = parse_group("B3")
-    reports = [cmd_info(b3), cmd_table("H3", None), cmd_table("GEEN", None),
-               run_verify(parse_group("A1")), run_verify(b3)]
-    reports += [cmd_count(b3, kind, arg, None)
+    reports = [cmd_info(b3), cmd_table(parse_group("H3"), None),
+               cmd_table("GEEN", None), run_verify(parse_group("A1")),
+               run_verify(b3)]
+    reports += [cmd_count(b3, kind, arg, _count_arg(b3.rank, kind, arg), None)
                 for kind, arg in (("red", None), ("fact-k", "2"),
                                   ("composition", "2,1"), ("by-class", None))]
     for rep in reports:
@@ -416,7 +461,7 @@ def test_concurrent_runs_keep_every_entry(tmp_path):
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
     keys = json.loads(cache.read_text())
-    assert sorted(key.split("|")[3] for key in keys) == groups
+    assert sorted(key.split("|")[2] for key in keys) == groups
 
 
 def test_large_rank_prints_exact_decimals(capsys):

@@ -49,6 +49,21 @@ def test_rejects(bad):
         parse_group(bad)
 
 
+@pytest.mark.parametrize("bad,reason", [
+    ("G(3,5,2)", "is not a group: G(d,e,n) needs d, n >= 1 and e >= 1 "
+                 "dividing d"),
+    ("G(4,3,2)", "is not a group"), ("G(1,2,3)", "is not a group"),
+    ("G(3,0,2)", "is not a group"), ("G(0,1,3)", "is not a group"),
+    ("G(1,1,1)", "G(1,1,1) is trivial"),
+    ("G(1,1,4)", "G(1,1,4) is the symmetric group; use A3"),
+    ("G(4,2,3)", "imprimitive but not well-generated"),
+])
+def test_rejection_says_why(bad, reason):
+    with pytest.raises(UnsupportedGroup) as info:
+        parse_group(bad)
+    assert reason in str(info.value)
+
+
 @pytest.mark.parametrize("name,degrees,order,nrefl", [
     ("A3", (2, 3, 4), 24, 6),
     ("A1", (2,), 2, 1),

@@ -270,11 +270,13 @@ def test_closed_form_commands_execute_no_lattice_module(argv):
 
 
 def test_a_cache_hit_executes_no_lattice_module(tmp_path):
-    argv = ["count", "A3", "red", "--cache", str(tmp_path / "cache.json")]
-    miss, hit = _state(*argv), _state(*argv)
-    assert miss[0] == hit[0] == "0"
-    assert "ncfact.facto" in miss[2]
-    assert hit[2] == set(EAGER)
+    # count's ARG is checked before the lookup, by the eager families
+    for kind in (["red"], ["composition", "2,1"]):
+        argv = ["count", "A3", *kind, "--cache", str(tmp_path / "c.json")]
+        miss, hit = _state(*argv), _state(*argv)
+        assert miss[0] == hit[0] == "0"
+        assert "ncfact.facto" in miss[2]
+        assert hit[2] == set(EAGER)
 
 
 def test_verify_executes_every_module():

@@ -13,23 +13,24 @@ parser, and a property test checks that the two agree.  argparse itself
 cost every run about 7 ms to import (with gettext and locale) and to build.
 The parser checks option values, and `_dispatch` the group and `count`'s
 ARG, once and before the cache or any group; the commands take what it
-resolved, and `cmd_table` looks up a name that is no group as a family.
+resolved.  A `table` name that is no group goes straight to `cmd_table`,
+which looks it up as a family: closed-form answers (`info`, `table FAMILY`)
+never touch the cache.
 
-Every command returns one report, the JSON-ready dict of `verify.report`
-(run_verify's own): `render` prints it, the cache stores it, and the exit
-code folds the `pass` of its checks.  Output on stdout is byte-identical
-across runs for the same inputs and version: reports carry numbers as
-decimal strings, key order is sorted, and timing goes to stderr only.  The
-optional cache file stores finished reports under one key, built in
-`_dispatch`: the source digest, the command, the group as the report names
-it and every parameter.  The source digest covers the package's code and
-data files (the version with them), so an entry written by other code is
-recomputed, never replayed; a cache hit replays exactly the bytes a fresh
-run would print.  A run holds an exclusive lock on the sidecar file
-PATH.lock while it reads, computes and stores, so concurrent runs keep each
-other's entries.  A file that is not a readable cache, or has a malformed
-entry for the run, is left as it is, and a PATH that cannot be made, locked
-or stored to goes unused: the run computes and says so on stderr.
+Every command returns one report (see `report`, which also renders it):
+the cache stores it, and the exit code folds the `pass` of its checks.
+Timing goes to stderr only, so stdout is byte-identical across runs for
+the same inputs and version.  The optional cache file stores finished
+reports under one key, built in `_dispatch`: the source digest, the
+command, the canonical group name and every parameter.  The source digest
+covers the package's code and data files (the version with them), so an
+entry written by other code is recomputed, never replayed; a cache hit
+replays exactly the bytes a fresh run would print.  A run holds an
+exclusive lock on the sidecar file PATH.lock while it reads, computes and
+stores, so concurrent runs keep each other's entries.  A file that is not
+a readable cache, or has a malformed entry for the run, is left as it is,
+and a PATH that cannot be made, locked or stored to goes unused: the run
+computes and says so on stderr.
 
 Run as a script (`python3 -m ncfact.cli`), the process ends with
 os._exit(code) once main() has returned and stdout and stderr are flushed.
@@ -40,16 +41,15 @@ instead, and the interpreter reports the failure as it always did.  main()
 itself just returns, so callers in the same process see no difference.
 Modules that only some runs need load where they are used: README's "What
 one run costs" lists which lattice modules each command executes and which
-standard modules load only where used.  The lattice modules are lazy (see
-the package docstring), so cli binds them as modules and calls
-`groups.build_group(...)`; a test spy patches the defining module, e.g.
-`ncfact.facto.count_reduced`: cli binds no such name.
+standard modules load only where used.  verify and the lattice modules
+are lazy (see the package docstring), so cli binds them as modules and
+calls `groups.build_group(...)`; a test spy patches the defining module,
+e.g. `ncfact.facto.count_reduced`: cli binds no such name.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import json
 import os
 import re
@@ -59,11 +59,10 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import List, Optional, Tuple, Union
 
-from . import __version__, closedform, facto, groups, ncp
+from . import __version__, closedform, facto, groups, ncp, verify
 from .errors import NcfactError, ParseError, UnsupportedGroup
 from .families import GroupSpec, parse_group, validate_composition
-from .verify import (CHECK_KEYS, ROW_COLS, check, report, row_records,
-                     run_verify, sha256, table_rows_check)
+from .report import check, is_report, render, report, sha256
 
 
 def cmd_info(spec: GroupSpec) -> dict:
@@ -89,7 +88,7 @@ def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str], value,
     """`count`: arg is the ARG text, value what `_count_arg` resolved."""
     nc = ncp.build_nc(groups.build_group(spec, budget=budget))
     if kind == "by-class":
-        rows = row_records(facto.submaximal_by_class(nc))
+        rows = verify.row_records(facto.submaximal_by_class(nc))
         return report(spec.name, [], rows, budget)
     if kind == "red":
         counted = check("red", closedform.ll_number(spec),
@@ -104,7 +103,7 @@ def cmd_count(spec: GroupSpec, kind: str, arg: Optional[str], value,
 
 
 def cmd_verify(spec: GroupSpec, p_max: int, budget: Optional[int]) -> dict:
-    return run_verify(spec, p_max=p_max, budget=budget)
+    return verify.run_verify(spec, p_max=p_max, budget=budget)
 
 
 def cmd_table(target: Union[GroupSpec, str], budget: Optional[int]) -> dict:
@@ -127,81 +126,8 @@ def cmd_table(target: Union[GroupSpec, str], budget: Optional[int]) -> dict:
     checks, rows = [], []
     if g.rank >= 2:
         rows = facto.submaximal_by_class(ncp.build_nc(g))
-        checks = [table_rows_check(target, rows)]
-    return report(target.name, checks, row_records(rows), budget)
-
-
-# ---------------------------------------------------------------- rendering
-
-def _md_checks(checks: List[dict]) -> List[str]:
-    lines = ["| check | expected | actual | ok |",
-             "|---|---|---|---|"]
-    for c in checks:
-        mark = "ok" if c["pass"] else "FAIL"
-        lines.append(f"| {c['name']} | {c['expected']} | {c['actual']} "
-                     f"| {mark} |")
-    return lines
-
-
-def _md_rows(rows: List[dict]) -> List[str]:
-    lines = ["| class | label | d1' | h' | r | u | count |",
-             "|---|---|---|---|---|---|---|"]
-    lines += ["| " + " | ".join(r[k] for k in ROW_COLS) + " |" for r in rows]
-    return lines
-
-
-def render_md(command: str, payload: dict) -> str:
-    lines = [f"# ncfact {command} {payload['group']}", ""]
-    if command == "info":
-        lines += ["| field | value |", "|---|---|"]
-        lines += [f"| {c['name']} | {c['actual']} |"
-                  for c in payload["checks"]]
-    elif command == "count":
-        for c in payload["checks"]:
-            lines.append(f"{c['name']}: {c['actual']}")
-        for r in payload["rows"]:
-            lines.append(f"{r['label']}: {r['count']}")
-    else:  # verify, table
-        if payload["checks"]:
-            lines += _md_checks(payload["checks"])
-        if payload["rows"]:
-            if payload["checks"]:
-                lines.append("")
-            lines += _md_rows(payload["rows"])
-        failed = sum(1 for c in payload["checks"] if not c["pass"])
-        lines.append("")
-        if failed:
-            lines.append(f"FAIL ({failed} of {len(payload['checks'])} "
-                         "checks failed)")
-        else:
-            lines.append(f"PASS ({len(payload['checks'])} checks)")
-    return "\n".join(lines)
-
-
-def render_csv(payload: dict) -> str:
-    import csv  # only csv output needs it
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if payload["checks"]:
-        writer.writerow(CHECK_KEYS)
-        for c in payload["checks"]:
-            writer.writerow([c[k] for k in CHECK_KEYS[:-1]]
-                            + ["true" if c["pass"] else "false"])
-    if payload["rows"]:
-        if payload["checks"]:
-            writer.writerow([])
-        writer.writerow(ROW_COLS)
-        for r in payload["rows"]:
-            writer.writerow([r[k] for k in ROW_COLS])
-    return buf.getvalue().rstrip("\n")
-
-
-def render(command: str, payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True)
-    if fmt == "csv":
-        return render_csv(payload)
-    return render_md(command, payload)
+        checks = [verify.table_rows_check(target, rows)]
+    return report(target.name, checks, verify.row_records(rows), budget)
 
 
 # ------------------------------------------------------------------- cache
@@ -249,21 +175,6 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-# the keys of each check and each row of a report
-_ITEM_KEYS = {"checks": set(CHECK_KEYS), "rows": set(ROW_COLS)}
-
-
-def _is_payload(entry: object) -> bool:
-    """Whether a cached entry is shaped like a report, so it renders."""
-    return (isinstance(entry, dict)
-            and entry.keys() == {"group", "meta", *_ITEM_KEYS}
-            and isinstance(entry["group"], str)
-            and all(isinstance(entry[k], list)
-                    and all(isinstance(x, dict) and x.keys() == keys
-                            for x in entry[k])
-                    for k, keys in _ITEM_KEYS.items()))
-
-
 def _with_cache(key: str, path: Optional[str], compute) -> dict:
     if not path:
         return compute()
@@ -277,7 +188,7 @@ def _with_cache(key: str, path: Optional[str], compute) -> dict:
         with open(path + ".lock", "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
             cache = _cache_load(path)
-            if cache is not None and _is_payload(cache.get(key)):
+            if cache is not None and is_report(cache.get(key)):
                 return cache[key]
             if cache is None or key in cache:
                 print(f"ncfact: note: {path} is not a readable cache; "
@@ -316,7 +227,8 @@ OPTIONS go anywhere after the command, as --opt VALUE or --opt=VALUE, under
 any unique prefix; the last repeat wins, and tokens after -- are positional:
   --format F      md, json or csv (default md)
   --budget N      work budget, e.g. |NC|*|T|, N >= 1 (default 10^7)
-  --cache PATH    JSON cache file for finished reports (not on info)
+  --cache PATH    JSON cache file for finished reports (not on info; a
+                  table family is never cached)
   --no-cache      ignore --cache and recompute (not on info)
   --p-max P       largest Fuss parameter, P >= 1 (verify only; default 4)
   -h, --help      print this help and exit
@@ -536,16 +448,16 @@ def _dispatch(args: SimpleNamespace) -> dict:
     command, budget = args.command, args.budget
     try:
         spec = parse_group(args.group)
-        name = spec.name
     except (ParseError, UnsupportedGroup):
         if command != "table":
             raise
-        spec = name = args.group.strip().upper()  # a table family key
+        # a table family key: closed form, never cached
+        return cmd_table(args.group.strip().upper(), None)
     if command == "info":
         return cmd_info(spec)
     if command == "count":
         value = _count_arg(spec.rank, args.kind, args.arg)
-    key = "|".join([command, name] + [
+    key = "|".join([command, spec.name] + [
         f"{k}={v}" for k, v in sorted(vars(args).items())
         if k not in _UNKEYED])
     compute = {"verify": lambda: cmd_verify(spec, args.p_max, budget),

@@ -54,9 +54,9 @@ def _as_int(value: Fraction, what: str) -> int:
 
 
 def fuss_catalan(spec: GroupSpec, p: int) -> int:
-    """prod_i (d_i + p*h) / d_i, exactly."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    """prod_i (d_i + p*h) / d_i, exactly, for any integer p: a polynomial
+    in p that takes integer values.  It counts multichains for p >= 1, is 0
+    at p = -1 (the factor d_n = h) and is mu(1, c) at p = -2."""
     num = den = 1
     for d in spec.degrees:
         num *= d + p * spec.h

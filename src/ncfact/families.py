@@ -1,9 +1,10 @@
 """Group-string parsing, the composition rule and closed-form family data.
 
 Accepted grammar (case-insensitive): A<n> n>=1, B<n> n>=2, D<n> n>=2,
-I2(e) e>=3, G(d,1,n) d>=2 n>=1, G(e,e,n), H3, H4, F4, E6, E7, E8.
-Inputs are canonicalized: G(2,1,n>=2) -> B<n>, G(2,1,1) -> A1, G(e,e,2) ->
-I2(e) (e>=3) or D2, G(2,2,n) -> D<n>.  Everything here is closed-form
+I2(e) e>=3, G(d,1,n) d>=2 n>=1, G(e,e,n), G(d,e,1) e<d, H3, H4, F4, E6,
+E7, E8.  Inputs are canonicalized: G(2,1,n>=2) -> B<n>, G(2,1,1) -> A1,
+G(e,e,2) -> I2(e) (e>=3) or D2, G(2,2,n) -> D<n>, and G(d,e,1), the
+cyclic group of order d/e, -> G(d/e,1,1).  Everything here is closed-form
 (degrees, order, Coxeter number) and never enumerates a group.  This is
 the one module that states per-family facts: `EXCEPTIONAL` is the one list
 of exceptional type names, and the rank is the number of degrees.  The
@@ -103,6 +104,8 @@ def _canonical_g(a: int, b: int, c: int) -> GroupSpec:
                                "needs d, n >= 1 and e >= 1 dividing d")
     if b == a and c == 1:
         raise UnsupportedGroup(f"G({a},{a},1) is trivial")
+    if b > 1 and c == 1:  # cyclic of order d/e
+        return _canonical_g(a // b, 1, 1)
     if a == 1:  # so b == 1 and c >= 2
         raise UnsupportedGroup(f"G(1,1,{c}) is the symmetric group; "
                                f"use A{c - 1}")

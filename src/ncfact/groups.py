@@ -321,7 +321,12 @@ class Group:
         cached = self._class_ids.get(perm)
         if cached is not None:
             return cached
-        orbit = kernels.conj_orbit(perm, self.carrier.gens, self.budget)
+        try:
+            orbit = kernels.conj_orbit(perm, self.carrier.gens, self.budget)
+        except BudgetExceeded:
+            raise BudgetExceeded(
+                f"{self.name}: conjugacy orbit needs more than the budget "
+                f"{self.budget}") from None
         cid = Element(self.name, min(orbit)).serialize()
         for member in orbit:
             self._class_ids[member] = cid

@@ -1,14 +1,9 @@
 """Identity suite: run every counting identity against its closed form.
 
-A report is the JSON-ready dict that the CLI renders and caches, for
-run_verify and every command alike: {"group", "checks", "rows", "meta"}.
-A check (`check`) names one comparison, expected vs. actual, both rendered
-as decimal strings so arbitrary precision survives serialization, and
-passes iff the strings agree; a row (`row_records`) is one per-class
-submaximal record.  `CHECK_KEYS` and `ROW_COLS` are their keys, in csv
-column order.  Everything here is deterministic: check order is fixed, row
-order is the strata order (size in NC, then class id), and no timing data
-enters the report.
+run_verify builds one report (see `report`): a check per comparison and a
+row per rank-2 class (`row_records`).  Everything here is deterministic:
+check order is fixed, row order is the strata order (size in NC, then
+class id), and no timing data enters the report.
 
 Check inventory, in order:
 
@@ -47,40 +42,18 @@ pass every check that runs under the default budget, in 0.3-0.5 s and
 
 from __future__ import annotations
 
-import functools
 from math import comb
 from typing import List, Optional, Sequence
 
-from . import __version__, closedform, facto, groups, kernels, ncp
+from . import closedform, facto, groups, kernels, ncp
 from .errors import NoTableRow
 from .families import GroupSpec
+from .report import ROW_COLS, check, report, sha256
 
 # Exhaustive checks (explicit reduced tuples, fibers, Hurwitz orbits) are
 # gated on |Red(c)|; above this they are skipped, the identities having
 # already been exercised on every smaller group.
 ORBIT_GATE = 2000
-
-
-# the keys of a check and the columns of a row, in csv column order
-CHECK_KEYS = ("name", "expected", "actual", "pass")
-ROW_COLS = ("class_id", "label", "d1p", "hp", "r", "u", "count")
-
-
-def check(name: str, expected: object, actual: object) -> dict:
-    """One named comparison; passes iff the rendered values agree."""
-    expected, actual = str(expected), str(actual)
-    return dict(zip(CHECK_KEYS, (name, expected, actual, expected == actual)))
-
-
-def report(group: str, checks: List[dict], rows: List[dict],
-           budget: Optional[int]) -> dict:
-    """The JSON-ready report of one command.  meta.seconds stays null by
-    design: timing would break byte-identical reruns, so wall time goes to
-    stderr instead."""
-    return {"group": group, "checks": checks, "rows": rows,
-            "meta": {"version": __version__,
-                     "budget": None if budget is None else str(budget),
-                     "seconds": None}}
 
 
 def class_label(row: facto.LLRow) -> str:
@@ -98,24 +71,6 @@ def class_label(row: facto.LLRow) -> str:
     if hp == 2 * d1:
         return f"G({d1},1,2)"
     return f"rank2({d1},{hp})"
-
-
-@functools.cache
-def _sha256_type():
-    for name in ("_sha2", "_sha256"):
-        try:
-            return __import__(name).sha256
-        except ImportError:
-            pass
-    from hashlib import sha256
-    return sha256
-
-
-def sha256(data: bytes = b""):
-    """A SHA-256 hash object, as hashlib.sha256(data) gives, from CPython's
-    own module (_sha2 from 3.12, _sha256 before): hashlib would load
-    OpenSSL, about 5 ms a process.  hashlib only when neither imports."""
-    return _sha256_type()(data)
 
 
 def row_records(rows: Sequence[facto.LLRow]) -> List[dict]:

@@ -14,9 +14,9 @@ import pytest
 
 import ncfact
 from ncfact import errors
-from ncfact.cli import (_count_arg, _is_payload, cmd_count, cmd_info,
-                        cmd_table, main)
+from ncfact.cli import _count_arg, cmd_count, cmd_info, cmd_table, main
 from ncfact.families import parse_group
+from ncfact.report import is_report
 from ncfact.verify import run_verify
 
 
@@ -44,6 +44,12 @@ def test_info_md(capsys):
     assert err.startswith("[info ")
     _, out, _ = run_cli(capsys, "info", "G(3,1,3)")
     assert "| two-reflection | no |" in out
+
+
+def test_info_of_a_cyclic_g_d_e_1_is_its_canonical_group(capsys):
+    # G(4,2,1) is cyclic of order 2, i.e. A1
+    assert run_cli(capsys, "info", "G(4,2,1)")[:2] == run_cli(
+        capsys, "info", "A1")[:2]
 
 
 def test_count_examples(capsys):
@@ -218,6 +224,26 @@ def test_usage_errors_return_before_any_build(capsys, monkeypatch, tmp_path,
     code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
     assert (code, out) == (2, "") and err.startswith("ncfact: error: ")
     assert not cache.exists()
+
+
+def test_unknown_table_name_makes_no_cache_path(capsys, tmp_path):
+    # a name that is neither a group nor a family is refused before the
+    # cache's directory or lock is made
+    new = tmp_path / "new"
+    code, out, err = run_cli(capsys, "table", "NOPE",
+                             "--cache", str(new / "c.json"))
+    assert (code, out) == (2, "")
+    assert "is neither a group nor a table family" in err
+    assert not new.exists()
+
+
+def test_table_family_is_never_cached(capsys, tmp_path):
+    # a family's rows are closed form: answered, but never stored
+    cache = tmp_path / "p.json"
+    _, fresh, _ = run_cli(capsys, "table", "B")
+    code, out, _ = run_cli(capsys, "table", "B", "--cache", str(cache))
+    assert (code, out) == (0, fresh)
+    assert os.listdir(tmp_path) == []
 
 
 def test_table_parses_the_group_once(capsys, monkeypatch):
@@ -396,7 +422,7 @@ def test_every_fresh_report_is_cache_shaped():
                                   ("composition", "2,1"), ("by-class", None))]
     for rep in reports:
         assert rep["checks"] or rep["rows"], rep["group"]
-        assert _is_payload(rep), rep["group"]
+        assert is_report(rep), rep["group"]
 
 
 @pytest.mark.parametrize("entry", [7, {"group": "A3"}])

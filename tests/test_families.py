@@ -31,6 +31,9 @@ def test_parse_families(text, family, d, n):
     ("G(5,5,2)", "I2(5)"),       # G(e,e,2) is dihedral
     ("G(2,2,2)", "D2"),          # degenerate dihedral, kept in D form
     ("G(2,1,1)", "A1"),          # one signed point is a single reflection
+    ("G(4,2,1)", "A1"),          # G(d,e,1) is cyclic of order d/e
+    ("G(6,2,1)", "G(3,1,1)"),
+    ("G(9,3,1)", "G(3,1,1)"),
     ("D3", "D3"),
 ])
 def test_canonicalization(text, canonical):

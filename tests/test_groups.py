@@ -86,6 +86,16 @@ def test_conjugacy_class_id(group_of):
         g.multiply(g.multiply(refl[0], c), g.inverse(refl[0])))
 
 
+def test_conjugacy_orbit_over_budget_names_group_phase_and_budget():
+    # the carrier is under 30000, the Coxeter class of E8 far over it
+    g = build_group("E8", budget=30000)
+    with pytest.raises(BudgetExceeded) as info:
+        g.conjugacy_class_id(g.coxeter)
+    assert str(info.value) == ("E8: conjugacy orbit needs more than the "
+                               "budget 30000")
+    assert info.value.exit_code == 3
+
+
 def test_parabolic_degrees_known_cases(nc_of):
     from ncfact.facto import submaximal_by_class
     expected = {

@@ -215,11 +215,11 @@ def test_digests_never_load_openssl(tmp_path):
 # executed by `import ncfact.cli`; every other ncfact module is registered
 # lazily by the package and executes on its first attribute access
 EAGER = ("ncfact", "ncfact.cli", "ncfact.errors", "ncfact.families",
-         "ncfact.verify")
+         "ncfact.report")
 LAZY = ("kernels", "exact", "rootdata", "closedform", "groups", "ncp",
-        "facto")
+        "facto", "verify")
 # modules the CLI imports at start-up, and so must not bind from a lazy one
-START_UP = ("__init__.py", "cli.py", "verify.py", "families.py", "errors.py")
+START_UP = ("__init__.py", "cli.py", "report.py", "families.py", "errors.py")
 
 # prints the exit code of main(argv) (None without argv), the ncfact
 # modules in sys.modules, and those among them that have executed (a lazy
@@ -374,3 +374,13 @@ def test_public_api_resolves_to_the_defining_modules():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(ncfact.__all__)
     with pytest.raises(AttributeError):
         ncfact.no_such_name
+
+
+def test_the_report_format_is_defined_once_in_report():
+    # keys, builders, cache-shape test and renderings: one module states
+    # the report, so cli and verify cannot drift apart
+    homes = _top_level_definitions()
+    names = ("CHECK_KEYS", "ROW_COLS", "check", "report", "is_report",
+             "sha256", "render", "render_md", "render_csv")
+    assert {name: homes.get(name) for name in names} == {
+        name: ["report"] for name in names}

@@ -79,11 +79,46 @@ def test_fuss_catalan_closed_form(name, values):
 
 
 def test_fuss_catalan_is_exact_division():
-    # \prod (d_i + ph)/d_i must come out integral for every p here
+    # \prod (d_i + ph)/d_i must come out integral for every p here,
+    # negative ones too: it is an integer-valued polynomial in p
     for name in ("A5", "B4", "D4", "H4", "E7", "E8", "G(5,5,4)"):
         spec = parse_group(name)
-        for p in range(0, 7):
+        for p in range(-9, 7):
             fuss_catalan(spec, p)  # NonIntegerResult would fail the test
+
+
+# the groups of the benchmark's verify and cli workloads
+BENCH_GROUPS = ("H3", "F4", "H4", "E6", "A7", "D6", "G(3,1,5)", "G(4,4,5)",
+                "G(4,1,4)", "G(5,5,4)", "I2(150)", "A3", "B3", "D4",
+                "G(3,1,3)", "G(4,4,3)", "I2(5)")
+
+
+@pytest.mark.parametrize("name", BENCH_GROUPS)
+def test_fuss_catalan_vanishes_at_minus_one(name):
+    assert fuss_catalan(parse_group(name), -1) == 0
+
+
+def _mobius_bottom_to_top(nc):
+    """mu(1, c) by mu(1, j) = -sum of mu(1, i) over i < j, on the down-sets."""
+    mu = []
+    for j in range(nc.size):
+        below = nc.down[nc.down_start[j]:nc.down_start[j + 1] - 1]
+        mu.append(-sum(mu[i] for i in below) if j else 1)
+    return mu[nc.index_of(nc.group.coxeter)]
+
+
+@pytest.mark.parametrize("name,mu", [
+    ("A3", -5), ("B4", 35), ("D5", -77), ("H3", -21), ("F4", 66),
+    ("G(3,1,3)", -10), ("G(4,4,3)", -13), ("G(3,3,4)", 35),
+    ("G(4,1,4)", 35), ("I2(7)", 6)])
+def test_fuss_catalan_at_minus_two_is_the_mobius_number(nc_of, name, mu):
+    assert fuss_catalan(parse_group(name), -2) == mu
+    assert _mobius_bottom_to_top(nc_of(name)) == mu
+
+
+def test_count_multichains_still_needs_positive_p(nc_of):
+    with pytest.raises(ValueError):
+        count_multichains(nc_of("A3"), 0)
 
 
 def test_multichains_vs_quadratic_oracle(nc_of):

@@ -24,6 +24,7 @@ from ncfact import kernels
 from ncfact.errors import IndexOutOfRange, RankTooSmall, exact_quotient
 from ncfact.families import validate_composition
 from ncfact.groups import ClassId, Element, Group
+from ncfact.kernels import Perm
 from ncfact.ncp import NcClass, NcPoset, build_nc, strata_codim2, transfer
 
 
@@ -197,9 +198,9 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     return rows
 
 
-def _braid(a: bytes, b: bytes, direction: int,
-           inverse: Callable[[bytes], bytes] = kernels.inverse
-           ) -> Tuple[bytes, bytes]:
+def _braid(a: Perm, b: Perm, direction: int,
+           inverse: Callable[[Perm], Perm] = kernels.inverse
+           ) -> Tuple[Perm, Perm]:
     """(a, b) -> (aba^-1, a) for direction 1, (b, b^-1 ab) for -1."""
     if direction == 1:
         return (kernels.compose(kernels.compose(a, b), inverse(a)), a)

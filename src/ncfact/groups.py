@@ -1,12 +1,14 @@
 """Well-generated reflection groups with exact element arithmetic.
 
-Every group acts faithfully on a finite point set and an element is the
-serialized permutation it induces: the monomial families G(d,1,n)/G(e,e,n)
-permute n*d colored points (coordinate i, color k) -> index i*d + k, where
-w(v_j) = zeta^{c_j} v_{sigma(j)} sends (j, k) to (sigma(j), k + c_j mod d);
-A(n) = G(1,1,n+1) is the one-color case, permuting n+1 points; the
-exceptional types permute their root systems.  A permutation carries its
-own width, so nothing here passes a point count to `kernels` except
+Every group acts faithfully on a finite point set.  The monomial families
+G(d,1,n)/G(e,e,n) act on n*d colored points (coordinate i, color k) ->
+index i*d + k, where w(v_j) = zeta^{c_j} v_{sigma(j)} sends (j, k) to
+(sigma(j), k + c_j mod d); A(n) = G(1,1,n+1) is the one-color case,
+permuting n+1 points; the exceptional types permute their root systems.
+An element is the permutation it induces, as bytes, up to 256 points; a
+wider monomial element is its n coordinates sigma(i)*d + c_i (see
+`kernels`), so its cost follows n, not n*d.  An element carries its own
+format, so nothing here passes a point count to `kernels` except
 `identity`.  Products follow (v*w)(x) = v(w(x)), so multiply(a, b) applies
 b first.
 
@@ -23,28 +25,51 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ncfact import kernels, rootdata
 from ncfact.errors import BudgetExceeded, NotInNC, NotLengthTwo, RankTooSmall
 from ncfact.families import EXCEPTIONAL, GroupSpec, parse_group
+from ncfact.kernels import Perm
 
 DEFAULT_BUDGET = 10_000_000
 
 ClassId = bytes
 
 
+def _point_bytes(perm: Perm) -> bytes:
+    """The images of perm, one byte each up to 256 points, else
+    little-endian uint16: the form class ids serialize."""
+    if perm.__class__ is bytes:
+        return perm
+    images = kernels.unpack(perm)
+    return struct.pack(f"<{len(images)}H", *images)
+
+
+def _point_order(perm: Perm) -> Sequence:
+    """A key that orders the elements of a group as `_point_bytes` does,
+    without expanding a wide one: its coordinate x_i is the image of point
+    (i, 0) and determines those of (i, 1) .. (i, d-1), so two wide
+    elements first differ at the point (i, 0) of their first differing
+    coordinate, where the little-endian bytes of x_i compare as x_i
+    byte-swapped."""
+    if perm.__class__ is bytes:
+        return perm
+    return [(x & 255) << 8 | x >> 8 for x in perm[1:]]
+
+
 class Element(NamedTuple):
     """Group element: owning group's canonical name plus its permutation."""
 
     tag: str
-    perm: bytes
+    perm: Perm
 
     def serialize(self) -> bytes:
-        return self.tag.encode("ascii") + b"|" + self.perm
+        return self.tag.encode("ascii") + b"|" + _point_bytes(self.perm)
 
     def __repr__(self) -> str:
-        return f"Element({self.tag}, {self.perm.hex()})"
+        return f"Element({self.tag}, {_point_bytes(self.perm).hex()})"
 
 
 class _Carrier(NamedTuple):
@@ -57,13 +82,13 @@ class _Carrier(NamedTuple):
     root carrier, None on a monomial one.  Neither keeps state.
     """
 
-    npoints: int
-    refl_perms: Tuple[bytes, ...]
+    identity: Perm
+    refl_perms: Tuple[Perm, ...]
     refl_set: frozenset
-    coxeter: bytes
-    codim: Callable[[bytes], int]
-    gens: Tuple[bytes, ...]
-    lower_covers: Callable[..., Tuple[List[bytes], Optional[List[int]]]]
+    coxeter: Perm
+    codim: Callable[[Perm], int]
+    gens: Tuple[Perm, ...]
+    lower_covers: Callable[..., Tuple[List[Perm], Optional[List[int]]]]
 
 
 def _carrier_a(n: int) -> _Carrier:
@@ -72,16 +97,11 @@ def _carrier_a(n: int) -> _Carrier:
 
 def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
     """G(d,1,n) with the diagonal reflections, G(d,d,n) without them."""
-    def mono(sigma: Sequence[int], colors: Sequence[int]) -> bytes:
-        img = [0] * (n * d)
-        for i in range(n):
-            base = sigma[i] * d
-            ci = colors[i]
-            for k in range(d):
-                img[i * d + k] = base + (k + ci) % d
-        return kernels.pack(img)
+    def mono(sigma: Sequence[int], colors: Sequence[int]) -> Perm:
+        return kernels.colored(d, [sigma[i] * d + colors[i] % d
+                                   for i in range(n)])
 
-    def transp(i: int, j: int, a: int) -> bytes:
+    def transp(i: int, j: int, a: int) -> Perm:
         sigma = list(range(n))
         sigma[i], sigma[j] = j, i
         colors = [0] * n
@@ -115,8 +135,8 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
     # An element on coordinates: entry i is sigma(i)*d + c_i, the image of
     # point (i, 0).  codim is n minus the number of sigma-cycles whose
     # colors sum to 0 mod d.
-    def coords(perm: bytes) -> Sequence[int]:
-        return kernels.unpack(perm)[::d]
+    def coords(perm: Perm) -> Sequence[int]:
+        return kernels.coordinates(perm, d)
 
     def cycle_sums(img: Sequence[int]) -> Tuple[List[int], ...]:
         """Per coordinate x: the coordinate its sigma-cycle starts at, its
@@ -138,7 +158,7 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
                 total[start] = acc
         return first, pos, pre, total
 
-    def codim(perm: bytes) -> int:
+    def codim(perm: Perm) -> int:
         first, _, _, total = cycle_sums(coords(perm))
         return n - sum(1 for x in range(n) if first[x] == x and not total[x])
 
@@ -157,8 +177,8 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
     # is read off the cycles of v: a diagonal t adds its color to one
     # cycle's sum, a transposition joins two cycles (sums add) or splits
     # one, and codim drops by one iff exactly one more cycle sums to 0.
-    # Only the covers are composed on points.
-    def lower_covers(v: bytes, within=None) -> Tuple[List[bytes], None]:
+    # Only the covers are composed.
+    def lower_covers(v: Perm, within=None) -> Tuple[List[Perm], None]:
         first, pos, pre, total = cycle_sums(coords(v))
         out = []
         for t, i, j, a in shapes:
@@ -179,8 +199,8 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
                 out.append(kernels.compose(v, t))
         return out, None
 
-    return _Carrier(n * d, refl_perms, frozenset(refls), cox, codim,
-                    tuple(parts), lower_covers)
+    return _Carrier(mono(range(n), [0] * n), refl_perms, frozenset(refls),
+                    cox, codim, tuple(parts), lower_covers)
 
 
 def _carrier_root(name: str) -> _Carrier:
@@ -202,7 +222,7 @@ def _carrier_root(name: str) -> _Carrier:
         return [kernels.compose(v, rs.reflection_perms[k])
                 for k in sorted({refl_of[x] for x in moved})], moved
 
-    return _Carrier(rs.npoints, rs.reflection_perms,
+    return _Carrier(kernels.identity(rs.npoints), rs.reflection_perms,
                     frozenset(rs.reflection_perms), cox, rs.codim,
                     rs.simple_perms, lower_covers)
 
@@ -226,8 +246,8 @@ class Group:
         # empty until length_table() builds it, which NC(W, c) and the
         # verifier never do; a dict either way, as perfbench/tracer.py
         # takes its len after every build_nc
-        self._lengths: Dict[bytes, int] = {}
-        self._class_ids: Dict[bytes, ClassId] = {}
+        self._lengths: Dict[Perm, int] = {}
+        self._class_ids: Dict[Perm, ClassId] = {}
         self._nc = None  # NC(W, c), built by ncp.build_nc on first request
 
     def __repr__(self) -> str:
@@ -263,7 +283,7 @@ class Group:
 
     @property
     def identity(self) -> Element:
-        return Element(self.name, kernels.identity(self.carrier.npoints))
+        return Element(self.name, self.carrier.identity)
 
     @property
     def reflections(self) -> Tuple[Element, ...]:
@@ -273,7 +293,7 @@ class Group:
     def coxeter(self) -> Element:
         return Element(self.name, self.carrier.coxeter)
 
-    def _own(self, x: Element) -> bytes:
+    def _own(self, x: Element) -> Perm:
         if x.tag != self.name:
             raise ValueError(f"element of {x.tag} used with group {self.name}")
         return x.perm
@@ -297,7 +317,7 @@ class Group:
             raise BudgetExceeded(f"{self.name}: {phase} needs {size}, over "
                                  f"the budget {self.budget}")
 
-    def length_table(self) -> Dict[bytes, int]:
+    def length_table(self) -> Dict[Perm, int]:
         """Reflection length of every element, keyed by permutation, for
         the test oracles; the benchmark's tracer wraps it and reads
         `_lengths`, so both stay."""
@@ -316,7 +336,8 @@ class Group:
         return self.carrier.codim(self._own(w))
 
     def conjugacy_class_id(self, w: Element) -> ClassId:
-        """Canonical id: serialization of the class-minimal element."""
+        """Canonical id: serialization of the class-minimal element, the
+        least of the class as `_point_bytes` serializes it."""
         perm = self._own(w)
         cached = self._class_ids.get(perm)
         if cached is not None:
@@ -327,12 +348,12 @@ class Group:
             raise BudgetExceeded(
                 f"{self.name}: conjugacy orbit needs more than the budget "
                 f"{self.budget}") from None
-        cid = Element(self.name, min(orbit)).serialize()
+        cid = Element(self.name, min(orbit, key=_point_order)).serialize()
         for member in orbit:
             self._class_ids[member] = cid
         return cid
 
-    def reflections_below(self, w: Element) -> List[bytes]:
+    def reflections_below(self, w: Element) -> List[Perm]:
         """The reflections t =< w (its atoms), in T order, for l(w) = 2:
         t =< w iff t^-1 w, or equally its inverse w^-1 t, is in T.  So
         l(w) = 2 iff w is neither 1 nor in T (in G(d,1,n) a diagonal
@@ -343,7 +364,7 @@ class Group:
         atoms = [t for t in car.refl_perms
                  if kernels.compose(winv, t) in car.refl_set]
         if (not atoms or perm in car.refl_set
-                or perm == kernels.identity(car.npoints)):
+                or perm == car.identity):
             raise NotLengthTwo("element does not have reflection length 2")
         return atoms
 
@@ -362,7 +383,7 @@ class Group:
             raise NotInNC("element is not below the Coxeter element")
         return self.parabolic_degrees_of_atoms(atoms)
 
-    def parabolic_degrees_of_atoms(self, atoms: Sequence[bytes]
+    def parabolic_degrees_of_atoms(self, atoms: Sequence[Perm]
                                    ) -> Tuple[int, int]:
         """Degrees (d1', h') of the rank-2 parabolic the atoms of a rank-2
         element of NC generate; parabolic_degrees without its checks."""

@@ -1,76 +1,126 @@
 """Permutation kernels, in pure Python.
 
-A permutation on npoints points is bytes of length npoints (one byte per
-image) when npoints <= 256, else length 2*npoints (uint16 images in struct
-format "<H": little-endian, so serializations are platform-independent).
-A 1-byte permutation is at most 256 bytes long and a 2-byte one at least
-514, so a permutation carries its own width: every kernel reads it from its
-input, and only `identity` is told how many points to use.  This module is the
-only one that knows the format; `pack`/`unpack` convert between it and a
-sequence of images.  compose(a, b) returns the permutation
-x -> a[b[x]], i.e. apply b first; this matches the convention
-(v*w)(x) = v(w(x)) used for group products throughout.
+A group element comes in one of two formats, and carries its own:
+
+* a permutation of at most 256 points is bytes, one byte per image;
+* an element of a monomial group G(d,1,n) or G(e,e,n) on n*d > 256
+  colored points is the tuple (d, x_0, .., x_(n-1)), where
+  x_i = sigma(i)*d + c_i is the image of point (i, 0): it sends point
+  i*d + k, i.e. (i, k), to sigma(i)*d + (k + c_i mod d).
+
+Every kernel tests for bytes first and reads d from a tuple, so only
+`identity` is told how many points to use.  This module is the only one
+that knows the formats: `pack` and `colored` build an element from its
+images or its coordinates, `unpack` and `coordinates` read them back.
+compose(a, b) returns the element x -> a(b(x)), i.e. apply b first; this
+matches the convention (v*w)(x) = v(w(x)) used for group products
+throughout.
 
 Every closure in the package (roots, conjugacy orbits, NC(W, c) below c,
 Hurwitz orbits) is one call to `bfs`; the order of the group a set of
-permutations generates, and membership in it, come from `schreier_sims`,
+elements generates, and membership in it, come from `schreier_sims`,
 which never lists the group.
 """
 
 from __future__ import annotations
 
-import struct
-from operator import itemgetter
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 from ncfact.errors import BudgetExceeded
 
 BACKEND = "pure"
 
+# bytes, or the coordinate tuple (d, x_0, .., x_(n-1)) of a wide element
+Perm = Union[bytes, Tuple[int, ...]]
+
 
 def pack(images: Sequence[int]) -> bytes:
-    """The permutation x -> images[x], serialized."""
-    if len(images) <= 256:
-        return bytes(images)
-    return struct.pack(f"<{len(images)}H", *images)
+    """The permutation x -> images[x] of at most 256 points."""
+    return bytes(images)
 
 
-def unpack(perm: bytes) -> Sequence[int]:
-    """The images of a serialized permutation, indexable by point."""
-    if len(perm) <= 256:
+def _expand(d: int, coords: Sequence[int]) -> List[int]:
+    """The point images of the monomial element with these coordinates:
+    (i, k) -> (sigma(i), k + c_i mod d)."""
+    return [x - x % d + (x + k) % d for x in coords for k in range(d)]
+
+
+def colored(d: int, coords: Sequence[int]) -> Perm:
+    """The element of a monomial group with d colors that sends point
+    (i, 0) to coords[i] = sigma(i)*d + c_i: bytes on at most 256 points,
+    else the coordinate tuple."""
+    if len(coords) * d <= 256:
+        return bytes(_expand(d, coords))
+    return (d, *coords)
+
+
+def unpack(perm: Perm) -> Sequence[int]:
+    """The images of an element, indexable by point."""
+    if perm.__class__ is bytes:
         return perm
-    return struct.unpack(f"<{len(perm) // 2}H", perm)
+    return _expand(perm[0], perm[1:])
+
+
+def coordinates(perm: Perm, d: int) -> Sequence[int]:
+    """sigma(i)*d + c_i for each coordinate i of a monomial element."""
+    if perm.__class__ is bytes:
+        return perm[::d]
+    return perm[1:]
 
 
 def identity(npoints: int) -> bytes:
-    return pack(range(npoints))
+    return bytes(range(npoints))
 
 
 _PAD = bytes(range(256))
 
 
-def compose(a: bytes, b: bytes) -> bytes:
+def _one(a: Perm) -> Perm:
+    """The identity in the format of a."""
+    if a.__class__ is bytes:
+        return _PAD[:len(a)]
+    d = a[0]
+    return (d, *range(0, d * (len(a) - 1), d))
+
+
+def compose(a: Perm, b: Perm) -> Perm:
     """Product a*b under 'apply b, then a'."""
-    if len(b) <= 256:
+    if b.__class__ is bytes:
         # translate wants a 256-byte table; the padded tail is never hit
         return b.translate(a + _PAD[len(a):])
-    return pack(itemgetter(*unpack(b))(unpack(a)))
+    # (i, 0) -> x = (j, c) under b, then -> (sigma_a(j), c + c_j) under a
+    d = a[0]
+    out = [d]
+    for x in b[1:]:
+        y = a[1 + x // d]
+        out.append(y - y % d + (y + x) % d)
+    return tuple(out)
 
 
-def inverse(a: bytes) -> bytes:
-    if len(a) <= 256:
+def inverse(a: Perm) -> Perm:
+    if a.__class__ is bytes:
         # the table sends a[i] to i; its tail past len(a) is never read
         return bytes.maketrans(a, _PAD[:len(a)])[:len(a)]
-    images = unpack(a)
-    out = [0] * len(images)
-    for i, img in enumerate(images):
-        out[img] = i
-    return pack(out)
+    # (i, 0) -> (j, c) under a, so (j, 0) -> (i, -c) under its inverse
+    d = a[0]
+    out = list(a)
+    for i, x in enumerate(a[1:]):
+        out[1 + x // d] = i * d + -x % d
+    return tuple(out)
 
 
-def perm_order(a: bytes) -> int:
-    ident = identity(len(unpack(a)))
+def _image(g: Perm, x: int) -> int:
+    """The image of point x under g."""
+    if g.__class__ is bytes:
+        return g[x]
+    d = g[0]
+    y = g[1 + x // d]
+    return y - y % d + (y + x) % d
+
+
+def perm_order(a: Perm) -> int:
+    ident = _one(a)
     k = 1
     cur = a
     while cur != ident:
@@ -107,7 +157,7 @@ def bfs(seeds: Iterable[Hashable], step: Callable[[Hashable], Iterable],
     return dist
 
 
-def bfs_lengths(gens: Sequence[bytes]) -> Dict[bytes, int]:
+def bfs_lengths(gens: Sequence[Perm]) -> Dict[Perm, int]:
     """Word length over gens for every element they generate.
 
     gens must be non-empty.  The key set is the generated subgroup for any
@@ -115,17 +165,17 @@ def bfs_lengths(gens: Sequence[bytes]) -> Dict[bytes, int]:
     inversion (true for reflection sets).  Insertion order is the BFS
     discovery order.
     """
-    def step(w: bytes) -> List[bytes]:
-        if len(w) > 256:
-            return [compose(w, g) for g in gens]
-        tw = w + _PAD[len(w):]  # compose(w, g) is g.translate(tw)
-        return [g.translate(tw) for g in gens]
+    def step(w: Perm) -> List[Perm]:
+        if w.__class__ is bytes:
+            tw = w + _PAD[len(w):]  # compose(w, g) is g.translate(tw)
+            return [g.translate(tw) for g in gens]
+        return [compose(w, g) for g in gens]
 
-    return bfs([identity(len(unpack(gens[0])))], step)
+    return bfs([_one(gens[0])], step)
 
 
-def conj_orbit(seed: bytes, gens: Sequence[bytes],
-               cap: Optional[int] = None) -> List[bytes]:
+def conj_orbit(seed: Perm, gens: Sequence[Perm],
+               cap: Optional[int] = None) -> List[Perm]:
     """Closure of seed under conjugation by gens, in BFS discovery order;
     BudgetExceeded past cap elements."""
     pairs = [(g, inverse(g)) for g in gens]
@@ -133,8 +183,8 @@ def conj_orbit(seed: bytes, gens: Sequence[bytes],
         compose(compose(g, x), ginv) for g, ginv in pairs], cap))
 
 
-def schreier_sims(gens: Sequence[bytes]
-                  ) -> Tuple[int, Callable[[bytes], bool]]:
+def schreier_sims(gens: Sequence[Perm]
+                  ) -> Tuple[int, Callable[[Perm], bool]]:
     """Order of the group gens generate, and its membership test, by
     deterministic Schreier-Sims.
 
@@ -146,19 +196,20 @@ def schreier_sims(gens: Sequence[bytes]
     order is the product of the orbit lengths, and x is a member iff it
     sifts to the identity through every level; gens must be non-empty.
     The chain grows one generator at a time, and a generator it already
-    contains adds nothing.
+    contains adds nothing.  A wide monomial element acts on its colored
+    points: (j, k) -> (sigma(j), k + c_j).
     """
-    ident = identity(len(unpack(gens[0])))
+    ident = _one(gens[0])
     base: List[int] = []
-    strong: List[List[bytes]] = []
+    strong: List[List[Perm]] = []
     # trans[l][x] = (u, u^-1) with u(b_l) = x, for x in the orbit of b_l
-    trans: List[Dict[int, Tuple[bytes, bytes]]] = []
+    trans: List[Dict[int, Tuple[Perm, Perm]]] = []
     # checked[l]: the (x, k) whose Schreier generator, from trans[l][x] and
     # strong[l][k], sifts through; a level only gains representatives, so a
     # sift that passed once passes for good
     checked: List[set] = []
 
-    def add_level(g: bytes) -> None:
+    def add_level(g: Perm) -> None:
         base.append(next(x for x, y in enumerate(unpack(g)) if x != y))
         strong.append([])
         trans.append({})
@@ -180,24 +231,24 @@ def schreier_sims(gens: Sequence[bytes]
                     tree[y] = (v, inverse(v))
                     queue.append(y)
 
-    def sift(g: bytes, start: int) -> Tuple[bytes, int]:
+    def sift(g: Perm, start: int) -> Tuple[Perm, int]:
         """Strip g through levels start..; the residue and the level it
         fails at (len(base) when it passes them all)."""
         for level in range(start, len(base)):
-            coset = trans[level].get(unpack(g)[base[level]])
+            coset = trans[level].get(_image(g, base[level]))
             if coset is None:
                 return g, level
             g = compose(coset[1], g)
         return g, len(base)
 
-    def failing_schreier_generator(i: int) -> Optional[Tuple[bytes, int]]:
+    def failing_schreier_generator(i: int) -> Optional[Tuple[Perm, int]]:
         done = checked[i]
         for x, (u, _) in trans[i].items():
             for k, s in enumerate(strong[i]):
                 if (x, k) in done:
                     continue
                 su = compose(s, u)
-                v, v_inv = trans[i][unpack(su)[base[i]]]
+                v, v_inv = trans[i][_image(su, base[i])]
                 if su != v:
                     h, j = sift(compose(v_inv, su), i + 1)
                     if j < len(base) or h != ident:
@@ -240,8 +291,8 @@ def schreier_sims(gens: Sequence[bytes]
     return order, lambda x: sift(x, 0) == (ident, len(base))
 
 
-def leq_rows(perms: Sequence[bytes], ranks: Sequence[int],
-             lengths: Dict[bytes, int]) -> List[int]:
+def leq_rows(perms: Sequence[Perm], ranks: Sequence[int],
+             lengths: Dict[Perm, int]) -> List[int]:
     """Bit rows of the absolute order: bit j of row i set iff e_i =< e_j.
 
     e_i =< e_j iff l(e_i) + l(e_i^-1 e_j) = l(e_j); only rank_i < rank_j

@@ -1,7 +1,7 @@
 """The lattice of noncrossing partitions NC(W, c).
 
 NC(W, c) = {w : w =< c} in absolute order, graded by reflection length.
-Elements are sorted by (rank, permutation bytes), so index 0 is the identity
+Elements are sorted by (rank, permutation), so index 0 is the identity
 and the last index is the Coxeter element.  The poset is found by walking
 down from c along covers, and the order relation is the closure of those
 covers.  The carrier lists the lower covers of each element it is handed,
@@ -31,6 +31,7 @@ from ncfact import kernels
 from ncfact.closedform import fuss_catalan
 from ncfact.errors import NotInNC, RankTooSmall
 from ncfact.groups import ClassId, Element, Group
+from ncfact.kernels import Perm
 
 
 class NcClass(NamedTuple):
@@ -63,11 +64,11 @@ class NcPoset:
         # Each element is kept once: a cover met again is swapped for the
         # copy seen first.  hint[u] is the carrier's hint from the first
         # upper cover that listed u; u is asked for its covers after all.
-        lower: Dict[bytes, List[bytes]] = {}
-        seen: Dict[bytes, bytes] = {}
-        hint: Dict[bytes, Optional[List[int]]] = {}
+        lower: Dict[Perm, List[Perm]] = {}
+        seen: Dict[Perm, Perm] = {}
+        hint: Dict[Perm, Optional[List[int]]] = {}
 
-        def step(v: bytes) -> List[bytes]:
+        def step(v: Perm) -> List[Perm]:
             covers, moved = car.lower_covers(v, hint.pop(v, None))
             lower[v] = [seen.setdefault(x, x) for x in covers]
             for u in lower[v]:
@@ -76,15 +77,15 @@ class NcPoset:
 
         dist = kernels.bfs([car.coxeter], step)
         members = sorted((n - d, p) for p, d in dist.items())
-        if members[0] != (0, kernels.identity(car.npoints)):
+        if members[0] != (0, car.identity):
             raise AssertionError(f"{group.name}: the walk down from c does "
                                  f"not end at the identity in {n} steps")
         self.group = group
-        self.perms: Tuple[bytes, ...] = tuple(p for _, p in members)
+        self.perms: Tuple[Perm, ...] = tuple(p for _, p in members)
         self.ranks: Tuple[int, ...] = tuple(r for r, _ in members)
         self.elements: Tuple[Element, ...] = tuple(
             Element(group.name, p) for p in self.perms)
-        self.index: Dict[bytes, int] = {p: i for i, p in enumerate(self.perms)}
+        self.index: Dict[Perm, int] = {p: i for i, p in enumerate(self.perms)}
         self.size = len(self.perms)
         # The down-set of j is j plus the union of its lower covers', and
         # |Red(j)| the sum of theirs.  Lower covers have lower rank, hence

@@ -3,6 +3,7 @@ conjugacy ids, parabolic degrees, budget gating."""
 
 import itertools
 import random
+import struct
 
 import pytest
 
@@ -186,13 +187,52 @@ def test_type_a_carrier(n):
         assert g.fixed_space_codim(w) == m - cycles
 
 
-def test_wide_carrier_int16_path(group_of):
-    # I2(150) acts on 300 colored points: exercises the uint16 perms
+def test_wide_carrier_coordinates(group_of):
+    # I2(150) = G(150,150,2) acts on 300 colored points, so an element is
+    # its 2 coordinates sigma(i)*150 + c_i; c = diag(zeta, zeta^-1)
     g = group_of("I2(150)")
+    assert g.coxeter.perm == (150, 1, 299)
     assert len(kernels.unpack(g.coxeter.perm)) == 300
     assert g.element_order(g.coxeter) == 150
     assert reflection_length(g, g.coxeter) == 2
     assert len(g.reflections) == 150
+
+
+def _conjugacy_class_on_points(g, w):
+    """The class of w as point tuples, by conjugation with the carrier's
+    generators on expanded points."""
+    gens = []
+    for x in g.carrier.gens:
+        images = kernels.unpack(x)
+        inv = [0] * len(images)
+        for i, y in enumerate(images):
+            inv[y] = i
+        gens.append((images, inv))
+    seed = tuple(kernels.unpack(w.perm))
+    seen, frontier = {seed}, [seed]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for images, inv in gens:
+                y = tuple(images[x[inv[p]]] for p in range(len(x)))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("name", ["I2(150)", "G(130,1,2)"])
+def test_wide_class_ids_serialize_uint16_points(nc_of, name):
+    # a wide element's class id is the least of its class's point images
+    # as little-endian uint16, the serialization it had before elements
+    # were stored on coordinates, so the ids on stdout keep their bytes
+    nc = nc_of(name)
+    g = nc.group
+    for w in nc.elements:
+        least = min(struct.pack(f"<{len(x)}H", *x)
+                    for x in _conjugacy_class_on_points(g, w))
+        assert g.conjugacy_class_id(w) == g.name.encode() + b"|" + least
 
 
 def test_reflections_are_length_one(group_of):
@@ -202,10 +242,11 @@ def test_reflections_are_length_one(group_of):
         assert g.fixed_space_codim(r) == 1
 
 
-# A-I2, both monomial families and every exceptional type
+# A-I2, both monomial families and every exceptional type; I2(150) and
+# G(1000,1,2) on coordinates
 ORDER_GROUPS = ("A1", "A5", "B4", "D2", "D5", "I2(7)", "I2(150)",
                 "G(3,1,1)", "G(3,1,3)", "G(4,1,2)", "G(3,3,4)", "G(4,4,3)",
-                "H3", "H4", "F4", "E6", "E7", "E8")
+                "G(1000,1,2)", "H3", "H4", "F4", "E6", "E7", "E8")
 
 
 @pytest.mark.parametrize("name", ORDER_GROUPS)

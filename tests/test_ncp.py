@@ -181,10 +181,12 @@ def test_members_sorted_by_rank_then_perm(nc_of):
 
 # every group the suite builds up to |W| = 51840 (E6), and with it every
 # G(d,1,n) and G(e,e,n) it builds: on G(e,e,n) the codim-drop cover test
-# rests on this comparison alone
+# rests on this comparison alone; I2(129) and I2(150), on 258 and 300
+# points, compute on coordinates
 ORACLE_GROUPS = (
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "D4", "D5", "D6",
-    "H3", "F4", "H4", "E6", "I2(5)", "I2(150)", "G(3,1,3)", "G(3,1,4)",
+    "H3", "F4", "H4", "E6", "I2(5)", "I2(129)", "I2(150)", "G(3,1,3)",
+    "G(3,1,4)",
     "G(4,1,3)", "G(3,3,3)", "G(4,4,3)", "G(5,5,4)",
     "G(3,1,2)", "G(3,1,5)", "G(4,1,4)", "G(3,3,4)", "G(4,4,4)", "G(5,5,3)",
     "G(6,6,3)", "G(4,4,5)",
@@ -215,8 +217,9 @@ def _old_route(group):
                 preds_all[j].append(i)
                 preds[ranks[j] - ranks[i]][j].append(i)
     class_ids = [
-        Element(group.name, min(kernels.conj_orbit(p, car.refl_perms)))
-        .serialize() if r == 2 else None
+        min(Element(group.name, q).serialize()
+            for q in kernels.conj_orbit(p, car.refl_perms))
+        if r == 2 else None
         for r, p in members]
     return perms, ranks, rows, preds, preds_all, class_ids
 
@@ -240,6 +243,11 @@ def test_poset_matches_old_route(nc_of, name):
     assert down == preds_all
     assert [nc.class_id(i) if r == 2 else None
             for i, r in enumerate(nc.ranks)] == class_ids
+    # |Red(w)|: the maximal chains up to w over the oracle's covers
+    paths = [1] * nc.size
+    for j in range(1, nc.size):
+        paths[j] = sum(paths[i] for i in preds[1][j])
+    assert list(nc.paths) == paths
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS + ("E7",))

@@ -58,10 +58,19 @@ def test_rank_one_group_skips_class_checks():
 
 
 def test_wide_carrier_group():
-    # 2 bytes per point past 256 points; end-to-end on I2(150)
+    # past 256 points a monomial element is its coordinates; end-to-end on
+    # I2(150)
     rep = run_verify(parse_group("I2(150)"), p_max=2)
     assert _passed(rep)
     assert [(r["r"], r["u"]) for r in rep["rows"]] == [("150", "2")]
+
+
+def test_g_1000_1_2_passes_every_check():
+    # 2000 colored points on 2 coordinates; the rank-2 parabolic is all of
+    # W, order 2,000,000, one Schreier-Sims chain on the colored points
+    rep = run_verify(parse_group("G(1000,1,2)"))
+    assert _passed(rep)
+    assert [(r["d1p"], r["hp"]) for r in rep["rows"]] == [("1000", "2000")]
 
 
 def test_orbit_gate_skips_expensive_checks():

@@ -1,10 +1,10 @@
 """Exact counting and verification for noncrossing-partition factorizations
 of Coxeter elements in well-generated reflection groups.
 
-The lattice modules (kernels, exact, rootdata, closedform, groups, ncp,
-facto) and the identity suite (verify) sit in sys.modules from the start
-but run on first attribute access, through importlib's LazyLoader, and the
-public names resolve through a PEP 562 `__getattr__`.  So `import
+The lattice modules (kernels, rootdata, closedform, groups, ncp, facto) and
+the identity suite (verify) sit in sys.modules from the start but run on
+first attribute access, through importlib's LazyLoader, and the public
+names resolve through a PEP 562 `__getattr__`.  So `import
 ncfact.cli` runs only this package, errors, families, report and cli; see
 cli for what each command runs.  Lazy modules, not imports inside
 functions, because the benchmark's tracer finds the modules in sys.modules
@@ -16,8 +16,8 @@ import sys
 
 __version__ = "0.1.0"
 
-for _name in ("kernels", "exact", "rootdata", "closedform", "groups", "ncp",
-              "facto", "verify"):
+for _name in ("kernels", "rootdata", "closedform", "groups", "ncp", "facto",
+              "verify"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)

@@ -1,8 +1,9 @@
 """Closed-form counting identities and the per-class factorization table.
 
 The table rows ship in data/ll_table.json, stored symbolically in the
-parameters n and e with applicability predicates, and are evaluated exactly
-(integer literals become Fractions before eval).  Rows for five rank >= 3
+parameters n and e with applicability predicates.  Each expression is P or
+P / Q, P and Q integer expressions in n and e, evaluated on ints to the
+exact pair (P, Q); counts are exact int division.  Rows for five rank >= 3
 types that have no faithful carrier here (G24, G27, G29, G33, G34) ship as
 reference records: they join the row-level identity checks and the
 machine-readable export, but no group construction uses them.
@@ -10,18 +11,17 @@ machine-readable export, but no group construction uses them.
 
 from __future__ import annotations
 
+import _ast
 import json
 import math
-import re
 from functools import cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
-from ncfact.errors import (NonIntegerResult, NoTableRow, RankTooSmall,
-                           exact_quotient)
+from ncfact.errors import NoTableRow, RankTooSmall, exact_quotient
 from ncfact.families import EXCEPTIONAL, GroupSpec
 
-if TYPE_CHECKING:  # only the table and the prefactor need a rational
+if TYPE_CHECKING:  # the prefactor as a Fraction is built only on read
     from fractions import Fraction
 
 __all__ = [
@@ -30,27 +30,34 @@ __all__ = [
     "expected_ll_data", "table_records", "fuss_catalan",
 ]
 
-_INT_RE = re.compile(r"(?<![\w.])(\d+)")
+
+@cache
+def _ratio(expr: str) -> tuple:
+    """The code of P and of Q (1 for a bare P) of a table expression P or
+    P / Q; ValueError unless any `/` is the one top-level division."""
+    cut = expr.find("/")
+    if cut < 0:
+        return compile(expr, expr, "eval"), compile("1", expr, "eval")
+    top = compile(expr, expr, "eval", _ast.PyCF_ONLY_AST).body
+    if (expr.count("/") > 1 or type(getattr(top, "op", None)) is not _ast.Div
+            or expr.count("(", 0, cut) != expr.count(")", 0, cut)):
+        raise ValueError(f"table expression {expr!r} is not P or P / Q "
+                         "with one top-level /")
+    return tuple(compile(part.strip(), expr, "eval")
+                 for part in (expr[:cut], expr[cut + 1:]))
 
 
-def _eval_expr(expr: str, n: Optional[int] = None,
-               e: Optional[int] = None) -> Fraction:
-    """Evaluate a table expression exactly (ints promoted to Fractions)."""
-    from fractions import Fraction
-    wrapped = _INT_RE.sub(r"F(\1)", expr)
-    names: Dict[str, object] = {"F": Fraction, "__builtins__": {}}
-    if n is not None:
-        names["n"] = Fraction(n)
-    if e is not None:
-        names["e"] = Fraction(e)
-    value = eval(wrapped, names)  # noqa: S307 - fixed in-package expressions
-    return Fraction(value)
-
-
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegerResult(f"{what} = {value} is not an integer")
-    return value.numerator
+def _eval_ratio(expr: str, n: Optional[int] = None,
+                e: Optional[int] = None) -> Tuple[int, int]:
+    """(P, Q), the table expression P / Q evaluated on ints: exactly P/Q."""
+    names = {k: v for k, v in (("n", n), ("e", e)) if v is not None}
+    names["__builtins__"] = {}
+    # eval of the fixed in-package expressions only
+    num, den = (eval(code, names) for code in _ratio(expr))  # noqa: S307
+    if type(num) is not int or type(den) is not int:
+        raise ValueError(f"table expression {expr!r} is not an integer "
+                         f"ratio at n={n}, e={e}")
+    return num, den
 
 
 def fuss_catalan(spec: GroupSpec, p: int) -> int:
@@ -130,9 +137,14 @@ class ExpectedRow(NamedTuple):
     dropped.  counts[i] = prefactor * (rank - 1) * entries[i].u."""
 
     label: str
-    prefactor: Fraction
+    prefactor_ratio: Tuple[int, int]  # (p, q): the prefactor is p/q
     entries: Tuple[Tuple[int, int], ...]
     counts: Tuple[int, ...]
+
+    @property
+    def prefactor(self) -> Fraction:
+        from fractions import Fraction  # only a reader of it needs one
+        return Fraction(*self.prefactor_ratio)
 
 
 def _row_by_name(name: str) -> dict:
@@ -180,18 +192,19 @@ def expected_ll_data(spec: GroupSpec) -> ExpectedRow:
     row_name, n_sub, e_sub = _route(spec)
     row = _row_by_name(row_name)
     entries: List[Tuple[int, int]] = []
+
+    def value(kind: str, expr: str) -> int:
+        return exact_quotient(*_eval_ratio(expr, n_sub, e_sub),
+                              f"table {kind} entry {expr!r}")
+
     for r_expr, u_expr in row["entries"]:
-        u = _as_int(_eval_expr(u_expr, n=n_sub, e=e_sub),
-                    f"table u entry {u_expr!r}")
-        if u == 0:
-            continue
-        r = _as_int(_eval_expr(r_expr, n=n_sub, e=e_sub),
-                    f"table r entry {r_expr!r}")
-        entries.append((r, u))
-    prefactor = _eval_expr(row["prefactor"], n=n_sub, e=e_sub)
+        u = value("u", u_expr)
+        if u:
+            entries.append((value("r", r_expr), u))
+    num, den = _eval_ratio(row["prefactor"], n=n_sub, e=e_sub)
     counts = tuple(
-        _as_int(prefactor * (spec.rank - 1) * u,
-                f"per-class count for {spec.name}")
+        exact_quotient(num * (spec.rank - 1) * u, den,
+                       f"per-class count for {spec.name}")
         for _, u in entries)
-    return ExpectedRow(label=row["row"], prefactor=prefactor,
+    return ExpectedRow(label=row["row"], prefactor_ratio=(num, den),
                        entries=tuple(entries), counts=counts)

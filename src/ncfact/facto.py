@@ -224,15 +224,31 @@ def hurwitz_move(g: Group, f: Factorization, i: int,
 def hurwitz_orbit(g: Group, f: Factorization,
                   cap: Optional[int] = None) -> List[Factorization]:
     """Orbit of f under all braid moves, BFS order; BudgetExceeded past cap."""
-    # the orbit's states share few distinct factors: invert each once
+    # the orbit's states share few distinct factors: a state is a tuple of
+    # ids into factors, each factor is inverted once and each distinct
+    # braid (a, b, direction) composed once
+    ids: Dict[Perm, int] = {}
+    factors: List[Perm] = []
+
+    def fid(p: Perm) -> int:
+        if p not in ids:
+            ids[p] = len(factors)
+            factors.append(p)
+        return ids[p]
+
     inverse = functools.lru_cache(maxsize=None)(kernels.inverse)
+
+    @functools.lru_cache(maxsize=None)
+    def braid(a: int, b: int, d: int) -> Tuple[int, int]:
+        return tuple(map(fid, _braid(factors[a], factors[b], d, inverse)))
+
     orbit = kernels.bfs(
-        [tuple(x.perm for x in f.factors)],
-        lambda state: [state[:i] + _braid(state[i], state[i + 1], d, inverse)
+        [tuple(fid(x.perm) for x in f.factors)],
+        lambda state: [state[:i] + braid(state[i], state[i + 1], d)
                        + state[i + 2:]
                        for i in range(len(state) - 1) for d in (1, -1)],
         cap)
-    return [Factorization(tuple(Element(g.name, q) for q in state))
+    return [Factorization(tuple(Element(g.name, factors[k]) for k in state))
             for state in orbit]
 
 

@@ -178,6 +178,12 @@ def conj_orbit(seed: Perm, gens: Sequence[Perm],
                cap: Optional[int] = None) -> List[Perm]:
     """Closure of seed under conjugation by gens, in BFS discovery order;
     BudgetExceeded past cap elements."""
+    if seed.__class__ is bytes:
+        # g x g^-1 is i -> g(x(g^-1(i))): translates through padded x, g
+        pairs = [(inverse(g), g + _PAD[len(g):]) for g in gens]
+        return list(bfs([seed], lambda x: [
+            ginv.translate(xpad).translate(gpad)
+            for xpad in (x + _PAD[len(x):],) for ginv, gpad in pairs], cap))
     pairs = [(g, inverse(g)) for g in gens]
     return list(bfs([seed], lambda x: [
         compose(compose(g, x), ginv) for g, ginv in pairs], cap))

@@ -160,6 +160,11 @@ def transfer(nc: NcPoset, vec: Sequence[int], jumps: range) -> List[int]:
     """One transfer step: out[j] sums vec[i] over the i <= j whose rank
     jump to j lies in jumps."""
     get = vec.__getitem__
+    if jumps.start <= 0 and jumps.stop > nc.group.rank:
+        # every jump: the whole down-set of j, no bisects
+        down, start = nc.down, nc.down_start
+        return [sum(map(get, down[start[j]:start[j + 1]]))
+                for j in range(nc.size)]
     return [sum(map(get, nc.below(j, jumps))) for j in range(nc.size)]
 
 

@@ -1,13 +1,16 @@
 """Root systems for the exceptional types, built exactly from shipped Gram data.
 
-Roots are coordinate vectors in the simple-root basis, over Z[phi].  The
-reflection in a root beta acts by s_beta(x) = x - w(x) beta, where the linear
-form w(x) = 2(beta, x)/(beta, beta) has Z[phi] coefficients because every
-root norm is a rational integer.  Closing the simple roots under the simple
-reflections yields the full root system, and every group element is carried
-as a permutation of the sorted root list.  Only the simple reflections are
-computed root by root: the closure records how it first met each root,
-beta = s_i(gamma), and s_beta = s_i s_gamma s_i is then two composes.
+Roots are coordinate vectors in the simple-root basis over Z[phi], each a
+flat int tuple (a_0, b_0, a_1, b_1, ...) whose coordinate k is a_k +
+b_k*phi, phi^2 = phi + 1; its products are written out on ints.  The
+reflection in a root beta acts by s_beta(x) = x - w(x) beta, where the
+linear form w(x) = 2(beta, x)/(beta, beta) has Z[phi] coefficients because
+every root norm is a rational integer.  Closing the simple roots under the
+simple reflections yields the full root system, and every group element is
+carried as a permutation of the sorted root list.  Only the simple
+reflections are computed root by root: the closure records how it first met
+each root, beta = s_i(gamma), and s_beta = s_i s_gamma s_i is then two
+composes.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ncfact import kernels
-from ncfact.exact import GOLDEN_ONE, GOLDEN_ZERO, Golden, matrix_rank
 from ncfact.families import group_data
 
-Vector = Tuple[Golden, ...]
+Vector = Tuple[int, ...]   # (a_0, b_0, a_1, b_1, ...): sum_k (a_k + b_k phi)
 
 
 class RootSystem(NamedTuple):
@@ -30,7 +32,7 @@ class RootSystem(NamedTuple):
     index: Dict[Vector, int]                # root -> position in roots
     reflection_perms: Tuple[bytes, ...]     # one per root pair, sorted
     simple_perms: Tuple[bytes, ...]         # reflections of the simple roots
-    packed: Tuple[int, ...]                 # root i as one int, see _pack
+    packed: Tuple[int, ...]                 # root i as one int, see LANE
 
     @property
     def npoints(self) -> int:
@@ -43,7 +45,7 @@ class RootSystem(NamedTuple):
         transpose is the same.
         """
         images = kernels.unpack(perm)
-        return matrix_rank([
+        return _rank([
             [y - x for x, y in zip(e, self.roots[images[self.index[e]]])]
             for e in _units(self.rank)])
 
@@ -77,54 +79,89 @@ class RootSystem(NamedTuple):
         return moved
 
 
-# A root packs into one int with a signed LANE-bit lane per Z[phi]
-# coefficient.  A sum of at most npoints roots has lane values below
-# 2^(LANE-1) in absolute value (asserted per root system), so it is zero
-# iff every lane is.
+# A root packs into one int with a signed LANE-bit lane per int of its flat
+# tuple.  A sum of at most npoints roots has lane values below 2^(LANE-1)
+# in absolute value (asserted per root system), so it is zero iff every
+# lane is.
 LANE = 20
 
 
-def _pack(root: Vector) -> int:
-    value = 0
-    for k, x in enumerate(root):
-        value += (x.a << (2 * k * LANE)) + (x.b << ((2 * k + 1) * LANE))
-    return value
-
-
 def _units(rank: int) -> Tuple[Vector, ...]:
-    return tuple(tuple(GOLDEN_ONE if i == j else GOLDEN_ZERO
-                       for i in range(rank)) for j in range(rank))
+    return tuple(tuple(int(k == 2 * j) for k in range(2 * rank))
+                 for j in range(rank))
 
 
-def _pair(u: Sequence[Golden], x: Vector) -> Golden:
-    """sum_k u_k x_k."""
-    acc = GOLDEN_ZERO
-    for uk, xk in zip(u, x):
-        if uk and xk:
-            acc = acc + uk * xk
-    return acc
+def _dot(u: Sequence[int], x: Sequence[int]) -> Tuple[int, int]:
+    """sum_k u_k x_k of two flat vectors, as the pair (a, b)."""
+    a = b = 0
+    for k in range(0, len(u), 2):
+        ua, ub = u[k], u[k + 1]
+        if ua or ub:
+            xa, xb = x[k], x[k + 1]
+            a += ua * xa + ub * xb
+            b += ua * xb + ub * (xa + xb)
+    return a, b
+
+
+def _scale(c: Sequence[int], x: Sequence[int]) -> List[int]:
+    """The scalar c = (a, b) times the flat vector x."""
+    a, b = c
+    return [v for xa, xb in zip(x[::2], x[1::2])
+            for v in (a * xa + b * xb, a * xb + b * (xa + xb))]
+
+
+def _div_exact(x: Sequence[int], d: Sequence[int]) -> Vector:
+    """x / d for a scalar d that is a nonzero rational integer and divides
+    every entry of the flat vector x; ArithmeticError otherwise."""
+    if d[1] or not d[0] or any(v % d[0] for v in x):
+        raise ArithmeticError(f"{tuple(x)} / {tuple(d)} is not exact")
+    return tuple(v // d[0] for v in x)
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Z[phi] of flat rows by fraction-free elimination.
+
+    Z[phi] is an integral domain, so row <- lead*row - f*pivot keeps the
+    rank while clearing the pivot's column without any division.
+    """
+    work = list(rows)
+    rank = 0
+    while work:
+        top = work.pop()
+        if any(top):
+            k = next(k for k, c in enumerate(top) if c) & ~1  # first nonzero
+            lead = top[k:k + 2]
+            work = [[x - y for x, y in zip(_scale(lead, row),
+                                           _scale(row[k:k + 2], top))]
+                    if row[k] or row[k + 1] else row for row in work]
+            rank += 1
+    return rank
 
 
 def _form(gram: Sequence[Vector], beta: Vector) -> Vector:
     """Coefficients of w(x) = 2(beta, x)/(beta, beta) in the simple-root basis."""
-    g = [_pair(row, beta) for row in gram]   # (beta, alpha_i); gram symmetric
-    norm = _pair(g, beta)
-    return tuple((gi + gi).div_exact(norm) for gi in g)
+    # (beta, alpha_i) for each i, flat; gram symmetric
+    g = [c for row in gram for c in _dot(row, beta)]
+    return _div_exact([c + c for c in g], _dot(g, beta))
 
 
-def _reflect(form: Vector, beta: Vector, x: Vector) -> Vector:
-    coef = _pair(form, x)
-    if not coef:
+def _reflect(form: Vector, i: int, x: Vector) -> Vector:
+    """s_i(x) = x - w_i(x) alpha_i, the reflection in the i-th simple root,
+    whose form is form: only coordinate i moves."""
+    a, b = _dot(form, x)
+    if not (a or b):
         return x
-    return tuple(xi - coef * bi for xi, bi in zip(x, beta))
+    k = 2 * i
+    return x[:k] + (x[k] - a, x[k + 1] - b) + x[k + 2:]
 
 
 @lru_cache(maxsize=None)
 def build_root_system(name: str) -> RootSystem:
     data = group_data()[name]
     # Q(phi) entries are [a, b] pairs for a + b*phi; Q entries are integers
-    entry = (lambda ab: Golden(*ab)) if data["field"] == "Q(phi)" else Golden
-    gram = tuple(tuple(entry(x) for x in row) for row in data["gram"])
+    pair = tuple if data["field"] == "Q(phi)" else (lambda x: (x, 0))
+    gram = tuple(tuple(c for x in row for c in pair(x))
+                 for row in data["gram"])
     rank = len(gram)
     simples = _units(rank)
     simple_forms = [_form(gram, s) for s in simples]
@@ -133,7 +170,7 @@ def build_root_system(name: str) -> RootSystem:
     parent: Dict[Vector, Tuple[int, Vector]] = {}
 
     def step(x: Vector) -> List[Vector]:
-        out = [_reflect(form, s, x) for form, s in zip(simple_forms, simples)]
+        out = [_reflect(form, i, x) for i, form in enumerate(simple_forms)]
         for i, y in enumerate(out):
             parent.setdefault(y, (i, x))
         return out
@@ -149,8 +186,8 @@ def build_root_system(name: str) -> RootSystem:
     npoints = len(root_list)
 
     simple_perms = tuple(
-        kernels.pack([index[_reflect(form, s, r)] for r in root_list])
-        for form, s in zip(simple_forms, simples))
+        kernels.pack([index[_reflect(form, i, r)] for r in root_list])
+        for i, form in enumerate(simple_forms))
     # s_(s_i(y)) = s_i s_y s_i: in discovery order a root's parent comes
     # first, so each reflection is two composes from its parent's; the
     # seeds +/-alpha_i come first of all, with the simple reflections
@@ -162,20 +199,21 @@ def build_root_system(name: str) -> RootSystem:
             i, y = parent[x]
             refl[x] = kernels.compose(
                 kernels.compose(simple_perms[i], refl[y]), simple_perms[i])
-    # negation reverses the (a, b)-lexicographic order, so root i and root
+    # negation reverses the lexicographic order, so root i and root
     # npoints-1-i are a +/- pair with one reflection: the first half suffices
     perms = sorted({refl[beta] for beta in root_list[:npoints // 2]})
     if len(perms) != npoints // 2:
         raise AssertionError(f"{name}: expected {npoints // 2} reflections, "
                              f"got {len(perms)}")
 
-    bound = max(abs(c) for r in root_list for x in r for c in (x.a, x.b))
+    bound = max(abs(c) for r in root_list for c in r)
     if npoints * bound >= 1 << (LANE - 1):
         raise AssertionError(f"{name}: root coordinates overflow a lane")
     rs = RootSystem(name=name, rank=rank, gram=gram, roots=root_list,
                     index=index, reflection_perms=tuple(perms),
                     simple_perms=simple_perms,
-                    packed=tuple(_pack(r) for r in root_list))
+                    packed=tuple(sum(c << (k * LANE) for k, c in enumerate(r))
+                                 for r in root_list))
     for p in simple_perms:
         if kernels.compose(p, p) != kernels.identity(npoints):
             raise AssertionError(f"{name}: simple reflection not an involution")

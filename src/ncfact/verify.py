@@ -43,7 +43,7 @@ pass every check that runs under the default budget, in 0.3-0.5 s and
 from __future__ import annotations
 
 import functools
-from math import comb
+from math import comb, gcd
 from typing import List, Optional, Sequence
 
 from . import closedform, facto, groups, kernels, ncp
@@ -85,14 +85,14 @@ def row_records(rows: Sequence[facto.LLRow]) -> List[dict]:
 
 
 def expected_r(row: facto.LLRow) -> object:
-    """LL number of the rank-2 parabolic: 2h'/d1' when irreducible; a
-    product of two rank-1 groups has LL number 2 (the two interleavings)
-    whatever its degrees."""
+    """LL number of the rank-2 parabolic: 2h'/d1' when irreducible, the int
+    or else the reduced "p/q"; a product of two rank-1 groups has LL number
+    2 (the two interleavings) whatever its degrees."""
     d1, hp = row.parabolic
     if row.reducible:
         return 2
-    from fractions import Fraction  # 2h'/d1' need not be an integer
-    return Fraction(2 * hp, d1)
+    g = gcd(2 * hp, d1)
+    return 2 * hp // g if g == d1 else f"{2 * hp // g}/{d1 // g}"
 
 
 def table_rows_check(spec: GroupSpec, rows: Sequence[facto.LLRow]) -> dict:

@@ -1,6 +1,7 @@
 """Closed-form identities: numbers, degrees, and the per-class table."""
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -140,3 +141,68 @@ def test_table_records_are_fresh_copies():
     records.clear()
     assert table_records()[1]["entries"][0] == ["2", "(n-1)*(n-2)*(n-3)"]
     assert expected_ll_data(spec) == before
+
+
+def _fraction_reference(expr, n=None, e=None):
+    """A table expression evaluated over Fractions, every integer literal
+    and parameter promoted, as an independent route to its value."""
+    import re
+    names = {"F": Fraction, "__builtins__": {}}
+    for key, value in (("n", n), ("e", e)):
+        if value is not None:
+            names[key] = Fraction(value)
+    return Fraction(eval(re.sub(r"(?<![\w.])(\d+)", r"F(\1)", expr), names))
+
+
+def _routed_parameters():
+    """(row name, n, e) for every row the groups with n, e in 2..9 route
+    to, and (row name, None, None) for the reference rows."""
+    from ncfact.closedform import _route
+    from ncfact.errors import NcfactError
+    names = [f"{fam}{n}" for fam in "ABD" for n in range(2, 10)]
+    names += [f"G({e},{e},{n})" for e in range(2, 10) for n in range(2, 10)]
+    names += ["H3", "H4", "F4", "E6", "E7", "E8"]
+    routed = set()
+    for name in names:
+        try:
+            routed.add(_route(parse_group(name)))
+        except NcfactError:
+            continue
+    routed |= {(rec["row"], None, None) for rec in table_records()
+               if not rec["realizable"]}
+    return sorted(routed, key=str)
+
+
+def test_integer_ratio_agrees_with_fraction_reference():
+    from ncfact.closedform import _eval_ratio
+    rows = {rec["row"]: rec for rec in table_records()}
+    routed = _routed_parameters()
+    assert {name for name, _, _ in routed} == set(rows)
+    for name, n, e in routed:
+        rec = rows[name]
+        exprs = [rec["prefactor"], *(x for pair in rec["entries"]
+                                    for x in pair)]
+        for expr in exprs:
+            num, den = _eval_ratio(expr, n, e)
+            assert type(num) is int and type(den) is int, expr
+            assert Fraction(num, den) == _fraction_reference(expr, n, e), (
+                name, expr, n, e)
+
+
+@pytest.mark.parametrize("expr", ["(n/2)*e", "n*(e/2)", "(n/2)", "n/2/e",
+                                  "n/(e/2)", "n//2", "n/2*e", "1 + n/2"])
+def test_integer_ratio_refuses_a_nested_or_second_division(expr):
+    from ncfact.closedform import _eval_ratio
+    with pytest.raises(ValueError, match=re.escape(repr(expr))):
+        _eval_ratio(expr, 4, 6)
+
+
+def test_integer_ratio_counts_match_the_prefactor():
+    # each count is prefactor * (n-1) * u, taken by exact int division
+    for name in SWEEP:
+        spec = parse_group(name)
+        row = expected_ll_data(spec)
+        num, den = row.prefactor_ratio
+        assert Fraction(num, den) == row.prefactor == prefactor_of(spec)
+        assert row.counts == tuple(
+            row.prefactor * (spec.rank - 1) * u for _, u in row.entries)

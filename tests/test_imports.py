@@ -141,10 +141,11 @@ def test_import_checker_sees_nested_imports():
 
 
 # loaded only on the paths that use them, or never: csv to render csv,
-# copy for the table records, fractions (and with it decimal) where a value
-# can be rational; SHA-256 comes from CPython's own module, not hashlib and
-# OpenSSL's _hashlib, and the argv parser is cli's own, not argparse (with
-# gettext and locale)
+# copy for the table records, fractions (and with it decimal and numbers)
+# only where a caller reads a prefactor as a Fraction, which no command
+# does; SHA-256 comes from CPython's own module, not hashlib and OpenSSL's
+# _hashlib, and the argv parser is cli's own, not argparse (with gettext
+# and locale)
 COLD_START_FREE = ("dataclasses", "inspect", "csv", "copy", "hashlib",
                    "_hashlib", "argparse", "gettext", "locale", "fractions",
                    "decimal")
@@ -183,41 +184,53 @@ def _builtin_sha256():
     return None
 
 
-def test_digests_never_load_openssl(tmp_path):
-    # class-id digests (verify) and the cache key (a cache hit) take
-    # SHA-256 from CPython's own module
-    if _builtin_sha256() is None:
-        pytest.skip("no built-in SHA-256 module")
+def _modules_after(*argv):
+    """The modules in sys.modules after one CLI run, which must exit 0, in
+    a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent)] + [p for p in os.environ.get(
             "PYTHONPATH", "").split(os.pathsep) if p])}
     script = ("import sys\nfrom ncfact.cli import main\n"
               "code = main(sys.argv[1:])\n"
               "print(code, ' '.join(sorted(sys.modules)), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    code, modules = proc.stderr.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    return set(modules.split())
+
+
+def test_digests_never_load_openssl(tmp_path):
+    # class-id digests (verify) and the cache key (a cache hit) take
+    # SHA-256 from CPython's own module
+    if _builtin_sha256() is None:
+        pytest.skip("no built-in SHA-256 module")
     cache = str(tmp_path / "cache.json")
-    runs = [["verify", "H3", "--format", "json"],
-            ["count", "A3", "red", "--cache", cache],
-            ["count", "A3", "red", "--cache", cache]]
-    loaded = []
-    for argv in runs:
-        proc = subprocess.run([sys.executable, "-c", script, *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=60, check=True)
-        code, modules = proc.stderr.splitlines()[-1].split(" ", 1)
-        assert code == "0"
-        loaded.append(modules.split())
-    verify, _, hit = loaded
+    verify, _, hit = (_modules_after(*argv) for argv in (
+        ["verify", "H3", "--format", "json"],
+        ["count", "A3", "red", "--cache", cache],
+        ["count", "A3", "red", "--cache", cache]))
     assert "_hashlib" not in verify and "hashlib" not in verify
     assert "_hashlib" not in hit and "hashlib" not in hit
     assert _builtin_sha256() in verify and _builtin_sha256() in hit
+
+
+@pytest.mark.parametrize("argv", [["verify", "H3"], ["verify", "G(4,4,5)"],
+                                  ["table", "F4"],
+                                  ["count", "D4", "by-class"]])
+def test_closed_forms_run_without_fractions(argv):
+    # the table, its counts and the expected r are exact int arithmetic
+    loaded = _modules_after(*argv)
+    assert sorted({"fractions", "decimal", "numbers"} & loaded) == []
 
 
 # executed by `import ncfact.cli`; every other ncfact module is registered
 # lazily by the package and executes on its first attribute access
 EAGER = ("ncfact", "ncfact.cli", "ncfact.errors", "ncfact.families",
          "ncfact.report")
-LAZY = ("kernels", "exact", "rootdata", "closedform", "groups", "ncp",
-        "facto", "verify")
+LAZY = ("kernels", "rootdata", "closedform", "groups", "ncp", "facto",
+        "verify")
 # modules the CLI imports at start-up, and so must not bind from a lazy one
 START_UP = ("__init__.py", "cli.py", "report.py", "families.py", "errors.py")
 
@@ -332,13 +345,13 @@ def test_lazy_binding_checker_sees_eager_imports():
         "from .ncp import build_nc\nfrom ncfact.facto import LLRow\n"
         "import ncfact.kernels\nif TYPE_CHECKING:\n"
         "    from ncfact.groups import Group\n"
-        "try:\n    from .exact import Golden\nexcept ImportError:\n"
+        "try:\n    from .rootdata import LANE\nexcept ImportError:\n"
         "    pass\ndef f():\n    from ncfact.groups import build_group\n")
     assert _lazy_bindings(tree) == [
         (3, "from .ncp import build_nc"),
         (4, "from ncfact.facto import LLRow"),
         (5, "import ncfact.kernels"),
-        (9, "from .exact import Golden")]
+        (9, "from .rootdata import LANE")]
 
 
 def _top_level_definitions():

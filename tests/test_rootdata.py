@@ -5,8 +5,7 @@ import hashlib
 import pytest
 
 from ncfact import kernels
-from ncfact.exact import GOLDEN_ONE, GOLDEN_ZERO, Golden
-from ncfact.rootdata import _form, _reflect, build_root_system
+from ncfact.rootdata import _dot, _form, _reflect, _scale, build_root_system
 
 # (name, expected root count) — twice the reflection count for these types
 CASES = [("H3", 30), ("F4", 48), ("E6", 72), ("E7", 126), ("H4", 120)]
@@ -78,14 +77,16 @@ def test_codim_matches_moved_space():
 
 
 def test_gram_is_symmetric_with_norm_two_diagonal():
+    # gram rows are flat: entry (i, j) is the pair gram[i][2j:2j+2]
     for name in ("H3", "F4", "E6"):
         rs = build_root_system(name)
         n = len(rs.gram)
         for i in range(n):
             for j in range(n):
-                assert rs.gram[i][j] == rs.gram[j][i]
+                assert (rs.gram[i][2 * j:2 * j + 2]
+                        == rs.gram[j][2 * i:2 * i + 2])
     h3 = build_root_system("H3")
-    assert all(h3.gram[i][i] == Golden(2) for i in range(3))
+    assert all(h3.gram[i][2 * i:2 * i + 2] == (2, 0) for i in range(3))
 
 
 def test_root_systems_are_cached():
@@ -96,16 +97,25 @@ def test_root_systems_are_cached():
 def test_reflections_by_conjugation_match_direct_route(name):
     # the direct route: reflect every root in every positive root (the
     # first half of the sorted list) with the form of that root
+    # of x - w(x) beta, written out here on the flat int vectors
     rs = build_root_system(name)
 
     def reflection(beta):
         form = _form(rs.gram, beta)
-        return kernels.pack([rs.index[_reflect(form, beta, r)]
-                             for r in rs.roots])
+        return kernels.pack([rs.index[tuple(
+            x - y for x, y in zip(r, _scale(_dot(form, r), beta)))]
+            for r in rs.roots])
 
     half = rs.roots[:rs.npoints // 2]
     assert rs.reflection_perms == tuple(sorted({reflection(beta)
                                                 for beta in half}))
-    simples = [tuple(GOLDEN_ONE if i == j else GOLDEN_ZERO
-                     for i in range(rs.rank)) for j in range(rs.rank)]
+    simples = [tuple(int(k == 2 * j) for k in range(2 * rs.rank))
+               for j in range(rs.rank)]
     assert rs.simple_perms == tuple(reflection(s) for s in simples)
+    # the closure's simple reflection moves coordinate i alone
+    for i, s in enumerate(simples):
+        form = _form(rs.gram, s)
+        for r in rs.roots:
+            image = list(_reflect(form, i, r))
+            image[2 * i:2 * i + 2] = r[2 * i:2 * i + 2]
+            assert tuple(image) == r

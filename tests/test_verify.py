@@ -152,3 +152,18 @@ def test_builtin_sha256_matches_hashlib(nc_of):
         for cls in ncp.strata_codim2(nc_of(name)):
             assert (verify.sha256(cls.class_id).digest()
                     == hashlib.sha256(cls.class_id).digest()), name
+
+
+def test_expected_r_prints_as_the_reduced_fraction():
+    # 2h'/d1' is the int when d1' divides 2h', else the "p/q" string that
+    # str(Fraction) prints; a reducible parabolic expects 2
+    from fractions import Fraction
+    for d1 in range(1, 13):
+        for hp in range(1, 31):
+            row = facto.LLRow(b"", 2, None, (0,), count=0, r=0, u=0,
+                              parabolic=(d1, hp), reducible=False)
+            want = Fraction(2 * hp, d1)
+            got = verify.expected_r(row)
+            assert str(got) == str(want), (d1, hp)
+            assert (type(got) is int) == (want.denominator == 1), (d1, hp)
+            assert verify.expected_r(row._replace(reducible=True)) == 2

@@ -11,11 +11,11 @@ The argv parser is table-driven (`_OPTIONS`, `_COMMANDS`, `_CHOICES`) and
 reads a command line as argparse did; tests/oracle.py keeps the argparse
 parser, and a property test checks that the two agree.  argparse itself
 cost every run about 7 ms to import (with gettext and locale) and to build.
-The parser checks option values, and `_dispatch` the group and `count`'s
-ARG, once and before the cache or any group; the commands take what it
-resolved.  A `table` name that is no group goes straight to `cmd_table`,
-which looks it up as a family: closed-form answers (`info`, `table FAMILY`)
-never touch the cache.
+The parser checks option values, and `_dispatch` the group, the closed
+forms' budget charge and `count`'s ARG, once and before the cache or any
+group; the commands take what it resolved.  A `table` name that is no
+group goes straight to `cmd_table`, which looks it up as a family:
+closed-form answers (`info`, `table FAMILY`) never touch the cache.
 
 Every command returns one report (see `report`, which also renders it):
 the cache stores it, and the exit code folds the `pass` of its checks.
@@ -60,7 +60,7 @@ from types import SimpleNamespace
 from typing import List, Optional, Tuple, Union
 
 from . import __version__, closedform, facto, groups, ncp, verify
-from .errors import NcfactError, ParseError, UnsupportedGroup
+from .errors import NcfactError, ParseError, UnsupportedGroup, check_budget
 from .families import GroupSpec, parse_group, validate_composition
 from .report import check, is_report, render, report, sha256
 
@@ -453,6 +453,7 @@ def _dispatch(args: SimpleNamespace) -> dict:
             raise
         # a table family key: closed form, never cached
         return cmd_table(args.group.strip().upper(), None)
+    check_budget(spec.name, "closed forms", spec.closed_form_size, budget)
     if command == "info":
         return cmd_info(spec)
     if command == "count":

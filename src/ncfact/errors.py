@@ -6,12 +6,16 @@ that raises it ends: `cli.main` prints "ncfact: " + `label` + the message on
 stderr and exits with `exit_code`.  That is 2 and "error: " unless the class
 says otherwise: BudgetExceeded exits 3, NonIntegerResult 1, and NoTableRow
 prints its message bare.  `exact_quotient` divides integers that a closed
-form says divide exactly, or raises NonIntegerResult.
+form says divide exactly, or raises NonIntegerResult; `check_budget`
+raises BudgetExceeded for a phase predicted past the work budget.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
+
+DEFAULT_BUDGET = 10_000_000
 
 
 class NcfactError(Exception):
@@ -74,3 +78,13 @@ class NoTableRow(NcfactError):
     """No closed-form per-class row covers the requested group."""
 
     label = ""
+
+
+def check_budget(name: str, phase: str, size: int,
+                 budget: Optional[int]) -> None:
+    """BudgetExceeded when phase's predicted size passes the budget
+    (DEFAULT_BUDGET when None)."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if size > budget:
+        raise BudgetExceeded(f"{name}: {phase} needs {size}, over the "
+                             f"budget {budget}")

@@ -124,9 +124,9 @@ def fact_counts(nc: NcPoset) -> List[int]:
     out = [0] * nc.size
     out[0] = 1
     get = out.__getitem__
-    down, start = nc.down, nc.down_start
+    below = nc.strictly_below
     for j in range(1, nc.size):
-        out[j] = sum(map(get, down[start[j]:start[j + 1] - 1])) << width
+        out[j] = sum(map(get, below(j))) << width
     mask = (1 << width) - 1
     lanes = [out[-1] >> (k * width) & mask for k in range(n + 1)]
     if lanes[n] != red:
@@ -223,10 +223,14 @@ def hurwitz_move(g: Group, f: Factorization, i: int,
 
 def hurwitz_orbit(g: Group, f: Factorization,
                   cap: Optional[int] = None) -> List[Factorization]:
-    """Orbit of f under all braid moves, BFS order; BudgetExceeded past cap."""
+    """Orbit of f under all braid moves, BFS order; BudgetExceeded past cap.
+
+    The braid group acts on the finite orbit by permutations, so each
+    inverse move is a power of the forward one, and the forward moves
+    alone close the same set."""
     # the orbit's states share few distinct factors: a state is a tuple of
     # ids into factors, each factor is inverted once and each distinct
-    # braid (a, b, direction) composed once
+    # braid (a, b) composed once
     ids: Dict[Perm, int] = {}
     factors: List[Perm] = []
 
@@ -239,14 +243,13 @@ def hurwitz_orbit(g: Group, f: Factorization,
     inverse = functools.lru_cache(maxsize=None)(kernels.inverse)
 
     @functools.lru_cache(maxsize=None)
-    def braid(a: int, b: int, d: int) -> Tuple[int, int]:
-        return tuple(map(fid, _braid(factors[a], factors[b], d, inverse)))
+    def braid(a: int, b: int) -> Tuple[int, int]:
+        return tuple(map(fid, _braid(factors[a], factors[b], 1, inverse)))
 
     orbit = kernels.bfs(
         [tuple(fid(x.perm) for x in f.factors)],
-        lambda state: [state[:i] + braid(state[i], state[i + 1], d)
-                       + state[i + 2:]
-                       for i in range(len(state) - 1) for d in (1, -1)],
+        lambda state: [state[:i] + braid(state[i], state[i + 1])
+                       + state[i + 2:] for i in range(len(state) - 1)],
         cap)
     return [Factorization(tuple(Element(g.name, factors[k]) for k in state))
             for state in orbit]

@@ -93,6 +93,20 @@ class GroupSpec(NamedTuple):
         return sum(d - 1 for d in self.degrees)
 
     @property
+    def closed_form_size(self) -> int:
+        """The closed forms' predicted size, ceil(rank * bit_length(h) /
+        64)^2: |W| <= h^rank, and printing it, or any product of that
+        length, in decimal is quadratic in its 64-bit words.  Read from
+        (family, d, n), so no degree is listed or multiplied first."""
+        fam, d, n = self
+        if fam in EXCEPTIONAL:
+            rank, h = self.rank, self.h
+        else:
+            rank, h = n, (n + 1 if fam == "A" else d * n
+                          if fam in ("B", "GD1N") else max(d * (n - 1), n))
+        return ((rank * h.bit_length() + 63) // 64) ** 2
+
+    @property
     def is_two_reflection(self) -> bool:
         """True when every reflection has order 2 (no diagonal order > 2)."""
         return not (self.family == "GD1N" and self.d > 2)

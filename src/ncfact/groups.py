@@ -5,12 +5,10 @@ G(d,1,n)/G(e,e,n) act on n*d colored points (coordinate i, color k) ->
 index i*d + k, where w(v_j) = zeta^{c_j} v_{sigma(j)} sends (j, k) to
 (sigma(j), k + c_j mod d); A(n) = G(1,1,n+1) is the one-color case,
 permuting n+1 points; the exceptional types permute their root systems.
-An element is the permutation it induces, as bytes, up to 256 points; a
-wider monomial element is its n coordinates sigma(i)*d + c_i (see
-`kernels`), so its cost follows n, not n*d.  An element carries its own
-format, so nothing here passes a point count to `kernels` except
-`identity`.  Products follow (v*w)(x) = v(w(x)), so multiply(a, b) applies
-b first.
+`kernels` alone reads an element's format (bytes up to 256 points, else
+a wide monomial element's n coordinates), serializes and orders it;
+`rootdata` alone knows the roots and their cover rule.  Products follow
+(v*w)(x) = v(w(x)), so multiply(a, b) applies b first.
 
 The carrier also gives a small generating set (for conjugacy orbits and
 the Schreier-Sims order) and the lower covers of an element of NC(W, c), so
@@ -25,38 +23,15 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ncfact import kernels, rootdata
-from ncfact.errors import BudgetExceeded, NotInNC, NotLengthTwo, RankTooSmall
+from ncfact.errors import (DEFAULT_BUDGET, BudgetExceeded, NotInNC,
+                           NotLengthTwo, RankTooSmall, check_budget)
 from ncfact.families import EXCEPTIONAL, GroupSpec, parse_group
 from ncfact.kernels import Perm
 
-DEFAULT_BUDGET = 10_000_000
-
 ClassId = bytes
-
-
-def _point_bytes(perm: Perm) -> bytes:
-    """The images of perm, one byte each up to 256 points, else
-    little-endian uint16: the form class ids serialize."""
-    if perm.__class__ is bytes:
-        return perm
-    images = kernels.unpack(perm)
-    return struct.pack(f"<{len(images)}H", *images)
-
-
-def _point_order(perm: Perm) -> Sequence:
-    """A key that orders the elements of a group as `_point_bytes` does,
-    without expanding a wide one: its coordinate x_i is the image of point
-    (i, 0) and determines those of (i, 1) .. (i, d-1), so two wide
-    elements first differ at the point (i, 0) of their first differing
-    coordinate, where the little-endian bytes of x_i compare as x_i
-    byte-swapped."""
-    if perm.__class__ is bytes:
-        return perm
-    return [(x & 255) << 8 | x >> 8 for x in perm[1:]]
 
 
 class Element(NamedTuple):
@@ -66,10 +41,10 @@ class Element(NamedTuple):
     perm: Perm
 
     def serialize(self) -> bytes:
-        return self.tag.encode("ascii") + b"|" + _point_bytes(self.perm)
+        return self.tag.encode("ascii") + b"|" + kernels.serialize(self.perm)
 
     def __repr__(self) -> str:
-        return f"Element({self.tag}, {_point_bytes(self.perm).hex()})"
+        return f"Element({self.tag}, {kernels.serialize(self.perm).hex()})"
 
 
 class _Carrier(NamedTuple):
@@ -95,41 +70,41 @@ def _carrier_a(n: int) -> _Carrier:
     return _carrier_monomial(1, n + 1, True)
 
 
+def _monomial_reflections(d: int, n: int, with_diagonal: bool
+                          ) -> List[Tuple[Perm, int, int, int]]:
+    """The reflections of G(d,1,n), or of G(d,d,n) without the diagonal
+    ones, sorted, each with its shape: (t, i, j, a) for the transposition
+    t that sends (i, 0) to (j, a) and (j, 0) to (i, -a), i < j, and
+    (t, i, -1, a) for the diagonal reflection of color a at i."""
+    shapes = [(i, j, a) for i in range(n) for j in range(i + 1, n)
+              for a in range(d)]
+    if with_diagonal:
+        shapes += [(i, -1, a) for i in range(n) for a in range(1, d)]
+    out = []
+    for i, j, a in shapes:
+        # coordinate x is sigma(x)*d + c_x, the image of point (x, 0)
+        coords = list(range(0, n * d, d))
+        if j < 0:
+            coords[i] += a
+        else:
+            coords[i], coords[j] = j * d + a, i * d + -a % d
+        out.append((kernels.colored(d, coords), i, j, a))
+    return sorted(out)
+
+
 def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
     """G(d,1,n) with the diagonal reflections, G(d,d,n) without them."""
-    def mono(sigma: Sequence[int], colors: Sequence[int]) -> Perm:
-        return kernels.colored(d, [sigma[i] * d + colors[i] % d
-                                   for i in range(n)])
-
-    def transp(i: int, j: int, a: int) -> Perm:
-        sigma = list(range(n))
-        sigma[i], sigma[j] = j, i
-        colors = [0] * n
-        colors[i] = a % d
-        colors[j] = (-a) % d
-        return mono(sigma, colors)
-
-    refls = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in range(d):
-                refls.append(transp(i, j, a))
-    if with_diagonal:
-        for i in range(n):
-            for k in range(1, d):
-                colors = [0] * n
-                colors[i] = k
-                refls.append(mono(range(n), colors))
-
+    shapes = _monomial_reflections(d, n, with_diagonal)
+    refl = {(i, j, a): t for t, i, j, a in shapes}
     if with_diagonal:
         # c = diag(zeta, 1, ..) * (0 1 .. n-1): coordinate i -> i+1, and
         # n-1 -> 0 times zeta; the cycle is s_0 s_1 .. s_(n-2)
-        parts = [transp(k, k + 1, 0) for k in range(n - 1)]
+        parts = [refl[k, k + 1, 0] for k in range(n - 1)]
         if d > 1:
-            parts.insert(0, mono(range(n), [1] + [0] * (n - 1)))
+            parts.insert(0, refl[0, -1, 1])
     else:
-        parts = [transp(0, 1, 0), transp(0, 1, 1)]
-        parts += [transp(k, k + 1, 0) for k in range(1, n - 1)]
+        parts = [refl[0, 1, 0], refl[0, 1, 1]]
+        parts += [refl[k, k + 1, 0] for k in range(1, n - 1)]
     cox = functools.reduce(kernels.compose, parts)
 
     # An element on coordinates: entry i is sigma(i)*d + c_i, the image of
@@ -162,15 +137,6 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
         first, _, _, total = cycle_sums(coords(perm))
         return n - sum(1 for x in range(n) if first[x] == x and not total[x])
 
-    refl_perms = tuple(sorted(refls))
-    # (t, i, j, a) for the transposition sending (i, 0) to (j, a), i < j;
-    # (t, i, -1, a) for the diagonal reflection of color a at i
-    shapes = []
-    for t in refl_perms:
-        tc = coords(t)
-        i, *rest = [x for x in range(n) if tc[x] != x * d]
-        shapes.append((t, i, rest[0] if rest else -1, tc[i] % d))
-
     # t =< v drops codim by one (Bessis, Annals 2015: l_R = codim on
     # [1, c]); the converse holds on real groups (Carter 1972, Lemma 2)
     # and is checked against the BFS oracle on the complex ones.  The drop
@@ -199,32 +165,18 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
                 out.append(kernels.compose(v, t))
         return out, None
 
-    return _Carrier(mono(range(n), [0] * n), refl_perms, frozenset(refls),
-                    cox, codim, tuple(parts), lower_covers)
+    refl_perms = tuple(t for t, *_ in shapes)
+    return _Carrier(kernels.colored(d, range(0, n * d, d)), refl_perms,
+                    frozenset(refl_perms), cox, codim, tuple(parts),
+                    lower_covers)
 
 
 def _carrier_root(name: str) -> _Carrier:
     rs = rootdata.build_root_system(name)
-    cox = functools.reduce(kernels.compose, rs.simple_perms)
-    last = rs.npoints - 1
-    # t negates exactly one +/- root pair, root i and root last - i;
-    # refl_of[x] is the position in T of the reflection in root x
-    refl_of = [0] * rs.npoints
-    for k, t in enumerate(rs.reflection_perms):
-        i = next(i for i, y in enumerate(kernels.unpack(t)) if y == last - i)
-        refl_of[i] = refl_of[last - i] = k
-    # t =< v iff the root of t lies in Mov(v) (Brady-Watt 2002 with
-    # Carter 1972, Lemma 2), and v*t is then a lower cover of v.  within,
-    # when given, is Mov(u) of some u above v: v =< u fixes Fix(u), so it
-    # permutes those roots, and Mov(v) lies among them.
-    def lower_covers(v: bytes, within=None) -> Tuple[List[bytes], List[int]]:
-        moved = rs.moved_roots(v, within)
-        return [kernels.compose(v, rs.reflection_perms[k])
-                for k in sorted({refl_of[x] for x in moved})], moved
-
     return _Carrier(kernels.identity(rs.npoints), rs.reflection_perms,
-                    frozenset(rs.reflection_perms), cox, rs.codim,
-                    rs.simple_perms, lower_covers)
+                    frozenset(rs.reflection_perms),
+                    functools.reduce(kernels.compose, rs.simple_perms),
+                    rs.codim, rs.simple_perms, rs.lower_covers)
 
 
 class Group:
@@ -313,9 +265,7 @@ class Group:
 
     def check_budget(self, phase: str, size: int) -> None:
         """BudgetExceeded when a phase's predicted size passes the budget."""
-        if size > self.budget:
-            raise BudgetExceeded(f"{self.name}: {phase} needs {size}, over "
-                                 f"the budget {self.budget}")
+        check_budget(self.name, phase, size, self.budget)
 
     def length_table(self) -> Dict[Perm, int]:
         """Reflection length of every element, keyed by permutation, for
@@ -337,7 +287,7 @@ class Group:
 
     def conjugacy_class_id(self, w: Element) -> ClassId:
         """Canonical id: serialization of the class-minimal element, the
-        least of the class as `_point_bytes` serializes it."""
+        least of the class as `kernels.serialize` serializes it."""
         perm = self._own(w)
         cached = self._class_ids.get(perm)
         if cached is not None:
@@ -348,7 +298,7 @@ class Group:
             raise BudgetExceeded(
                 f"{self.name}: conjugacy orbit needs more than the budget "
                 f"{self.budget}") from None
-        cid = Element(self.name, min(orbit, key=_point_order)).serialize()
+        cid = Element(self.name, min(orbit, key=kernels.order_key)).serialize()
         for member in orbit:
             self._class_ids[member] = cid
         return cid

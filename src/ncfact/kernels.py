@@ -11,7 +11,8 @@ A group element comes in one of two formats, and carries its own:
 Every kernel tests for bytes first and reads d from a tuple, so only
 `identity` is told how many points to use.  This module is the only one
 that knows the formats: `pack` and `colored` build an element from its
-images or its coordinates, `unpack` and `coordinates` read them back.
+images or its coordinates, `unpack` and `coordinates` read them back, and
+`serialize` (the bytes of a class id) and `order_key` write and order them.
 compose(a, b) returns the element x -> a(b(x)), i.e. apply b first; this
 matches the convention (v*w)(x) = v(w(x)) used for group products
 throughout.
@@ -67,6 +68,26 @@ def coordinates(perm: Perm, d: int) -> Sequence[int]:
     if perm.__class__ is bytes:
         return perm[::d]
     return perm[1:]
+
+
+def serialize(perm: Perm) -> bytes:
+    """The point images of an element, one byte each up to 256 points,
+    else little-endian uint16: what a class id serializes."""
+    if perm.__class__ is bytes:
+        return perm
+    return b"".join(x.to_bytes(2, "little") for x in unpack(perm))
+
+
+def order_key(perm: Perm) -> Sequence:
+    """A key that orders the elements of a group as `serialize` does,
+    without expanding a wide one: its coordinate x_i is the image of point
+    (i, 0) and determines those of (i, 1) .. (i, d-1), so two wide
+    elements first differ at the point (i, 0) of their first differing
+    coordinate, where the little-endian bytes of x_i compare as x_i
+    byte-swapped."""
+    if perm.__class__ is bytes:
+        return perm
+    return [(x & 255) << 8 | x >> 8 for x in perm[1:]]
 
 
 def identity(npoints: int) -> bytes:

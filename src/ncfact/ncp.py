@@ -17,8 +17,9 @@ rank-2 elements; each `NcClass` carries its members, their NC indices.
 The relation is stored flat: the down-set of j is the sorted slice
 down[down_start[j]:down_start[j + 1]], ending at j, and since indices
 increase with rank the i below j with a given range of rank jumps are one
-bisected slice of it (`NcPoset.below`).  That is the one predecessor
-structure; multichain and chain counting are `transfer` steps over it.
+bisected slice of it (`NcPoset.below`; `strictly_below` drops j).  That
+is the one predecessor structure, and only this module reads its layout:
+multichain and chain counting are `transfer` steps over it.
 """
 
 from __future__ import annotations
@@ -129,6 +130,10 @@ class NcPoset:
     def class_id(self, i: int) -> ClassId:
         """Conjugacy class id of element i, computed on first request."""
         return self.group.conjugacy_class_id(self.elements[i])
+
+    def strictly_below(self, j: int) -> array:
+        """The i < j below j, increasing: the down-set of j less j."""
+        return self.down[self.down_start[j]:self.down_start[j + 1] - 1]
 
     def below(self, j: int, jumps: range) -> array:
         """The i <= j whose rank jump to j lies in jumps (a range of step

@@ -10,7 +10,9 @@ simple reflections yields the full root system, and every group element is
 carried as a permutation of the sorted root list.  Only the simple
 reflections are computed root by root: the closure records how it first met
 each root, beta = s_i(gamma), and s_beta = s_i s_gamma s_i is then two
-composes.
+composes.  This module alone knows the roots: each root's reflection
+(`RootSystem.refl_index`) and the cover rule of NC(W, c) on them
+(`RootSystem.lower_covers`), which the root carrier in `groups` hands on.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ class RootSystem(NamedTuple):
     reflection_perms: Tuple[bytes, ...]     # one per root pair, sorted
     simple_perms: Tuple[bytes, ...]         # reflections of the simple roots
     packed: Tuple[int, ...]                 # root i as one int, see LANE
+    refl_index: Tuple[int, ...]             # root i -> its reflection's index
 
     @property
     def npoints(self) -> int:
@@ -77,6 +80,17 @@ class RootSystem(NamedTuple):
             if not total:
                 moved += cycle
         return moved
+
+    def lower_covers(self, v: bytes, within: Optional[Sequence[int]] = None
+                     ) -> Tuple[List[bytes], List[int]]:
+        """The lower covers v*t of v in NC(W, c), in reflection order, and
+        Mov(v) as roots, the within to pass for them: t =< v iff the root
+        of t lies in Mov(v) (Brady-Watt 2002 with Carter 1972, Lemma 2).
+        within, when given, is Mov(u) of some u above v: v =< u fixes
+        Fix(u), so it permutes those roots, and Mov(v) lies among them."""
+        moved = self.moved_roots(v, within)
+        return [kernels.compose(v, self.reflection_perms[k])
+                for k in sorted({self.refl_index[x] for x in moved})], moved
 
 
 # A root packs into one int with a signed LANE-bit lane per int of its flat
@@ -205,6 +219,7 @@ def build_root_system(name: str) -> RootSystem:
     if len(perms) != npoints // 2:
         raise AssertionError(f"{name}: expected {npoints // 2} reflections, "
                              f"got {len(perms)}")
+    position = {t: k for k, t in enumerate(perms)}
 
     bound = max(abs(c) for r in root_list for c in r)
     if npoints * bound >= 1 << (LANE - 1):
@@ -212,6 +227,7 @@ def build_root_system(name: str) -> RootSystem:
     rs = RootSystem(name=name, rank=rank, gram=gram, roots=root_list,
                     index=index, reflection_perms=tuple(perms),
                     simple_perms=simple_perms,
+                    refl_index=tuple(position[refl[r]] for r in root_list),
                     packed=tuple(sum(c << (k * LANE) for k, c in enumerate(r))
                                  for r in root_list))
     for p in simple_perms:

@@ -111,6 +111,11 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
                budget: Optional[int] = None) -> dict:
     """Run the whole identity suite on one group: its report."""
     g = groups.build_group(spec, budget=budget)
+    # each multichain step sums over the stored relation, Cat^(2)(W)
+    # pairs; the charge leaves out the three steps of the default p_max 4,
+    # so every run at the default is admitted as before
+    g.check_budget("multichains",
+                   (p_max - 4) * closedform.fuss_catalan(spec, 2))
     checks: List[dict] = []
 
     def add(name: str, expected: object, actual: object) -> None:

@@ -275,6 +275,48 @@ def test_over_budget_exits_before_the_work(group, phase):
     assert f"budget exceeded: {group}: {phase} needs" in proc.stderr
 
 
+@pytest.mark.parametrize("argv,phase", [
+    (("verify", "A3", "--p-max", "3000000", "--budget", "1000"),
+     "A3: multichains needs 164999780,"),
+    (("info", "A100000"), "A100000: closed forms needs 705592969,")])
+def test_p_max_and_closed_forms_are_charged_before_the_work(argv, phase):
+    # (p_max - 4) * Cat^(2)(A3) = 2999996 * 55, and ceil(100000 *
+    # bit_length(100001) / 64)^2 = 26563^2, each checked before it runs
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ncfact.cli", *argv],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith(f"ncfact: budget exceeded: {phase}")
+
+
+def test_closed_forms_charge_every_command_first(capsys):
+    # info A3000 charges ceil(3000 * 12 / 64)^2 = 563^2 = 316969, before
+    # any other phase or check of the command line
+    code, out, _ = run_cli(capsys, "info", "A3000", "--budget", "316969")
+    assert code == 0 and str(math.factorial(3001)) in out
+    for argv in (("info", "A3000"), ("verify", "A3000"),
+                 ("count", "A3000", "composition", "1,2"),
+                 ("table", "A3000")):
+        code, out, err = run_cli(capsys, *argv, "--budget", "316968")
+        assert (code, out) == (3, "")
+        assert err == ("ncfact: budget exceeded: A3000: closed forms needs "
+                       "316969, over the budget 316968\n")
+
+
+def test_p_max_past_the_default_is_charged(capsys):
+    # Cat^(2)(A3) = 55 per step past p_max 4; A3's other phases need at
+    # most 84 (the NC walk, 14 * 6)
+    code, _, _ = run_cli(capsys, "verify", "A3", "--p-max", "6",
+                         "--budget", "110")
+    assert code == 0
+    code, out, err = run_cli(capsys, "verify", "A3", "--p-max", "7",
+                             "--budget", "110")
+    assert (code, out) == (3, "")
+    assert "A3: multichains needs 165, over the budget 110" in err
+
+
 def test_default_budget_admits_e8_and_the_whole_g_d_1_2(capsys):
     # |NC| * |T| = 25080 * 120 for E8, and G(500,1,2)'s rank-2 parabolic
     # is all of W (order 500000), never listed

@@ -346,6 +346,36 @@ def test_hurwitz_orbit_cap(group_of, nc_of):
         hurwitz_orbit(g, fact, cap=5)
 
 
+def _two_way_orbit(g, f):
+    """The closure of f under the braid moves and their inverses."""
+    seen, todo = {f}, [f]
+    while todo:
+        x = todo.pop()
+        for i in range(1, len(x)):
+            for direction in (1, -1):
+                y = hurwitz_move(g, x, i, direction)
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("name,comp", [
+    ("H3", (1, 1, 1)), ("H3", (2, 1)), ("F4", (1, 1, 1, 1)),
+    ("F4", (1, 2, 1)), ("G(4,1,4)", (1, 1, 1, 1)), ("G(5,5,4)", (1, 1, 1, 1)),
+    ("I2(7)", (1, 1))])
+def test_hurwitz_orbit_by_forward_moves_is_the_two_way_closure(
+        group_of, nc_of, name, comp):
+    # the braid group permutes a finite orbit, so each inverse move is a
+    # power of the forward one: hurwitz_orbit's forward closure is the
+    # closure under both directions, without repeats
+    g = group_of(name)
+    start = enumerate_by_composition(nc_of(name), comp)[0]
+    orbit = hurwitz_orbit(g, start)
+    assert len(set(orbit)) == len(orbit)
+    assert set(orbit) == _two_way_orbit(g, start)
+
+
 def test_hurwitz_singleton(group_of):
     g = group_of("A3")
     assert len(hurwitz_orbit(g, make_factorization(g, [g.coxeter]))) == 1

@@ -2,6 +2,7 @@
 conjugacy ids, parabolic degrees, budget gating."""
 
 import itertools
+import math
 import random
 import struct
 
@@ -10,7 +11,7 @@ import pytest
 from ncfact import kernels
 from ncfact.errors import (BudgetExceeded, NotInNC, NotLengthTwo,
                            RankTooSmall)
-from ncfact.groups import Element, build_group
+from ncfact.groups import Element, _monomial_reflections, build_group
 from oracle import (absolute_leq, elements, parabolic_degrees_by_closure,
                     reflection_length)
 
@@ -196,6 +197,27 @@ def test_wide_carrier_coordinates(group_of):
     assert g.element_order(g.coxeter) == 150
     assert reflection_length(g, g.coxeter) == 2
     assert len(g.reflections) == 150
+
+
+@pytest.mark.parametrize("d,n,with_diagonal", [
+    (1, 5, True), (2, 4, True), (2, 4, False), (3, 3, True), (4, 4, False),
+    (5, 4, False), (150, 2, False), (130, 2, True)])
+def test_monomial_shapes_match_a_coordinate_scan(d, n, with_diagonal):
+    # each reflection's (i, j, a), kept as the carrier builds it, against
+    # a scan of its coordinates: i is the first coordinate it moves (or
+    # recolors), j the other one it moves (-1 for none), a the color it
+    # gives (i, 0)
+    shapes = _monomial_reflections(d, n, with_diagonal)
+    refls = [t for t, *_ in shapes]
+    assert refls == sorted(set(refls))
+    assert len(refls) == d * n * (n - 1) // 2 + (n * (d - 1)
+                                                  if with_diagonal else 0)
+    for t, *shape in shapes:
+        tc = kernels.coordinates(t, d)
+        i, *rest = [x for x in range(n) if tc[x] != x * d]
+        assert shape == [i, rest[0] if rest else -1, tc[i] % d]
+        order = 2 if rest else d // math.gcd(d, tc[i] % d)
+        assert kernels.perm_order(t) == order
 
 
 def _conjugacy_class_on_points(g, w):

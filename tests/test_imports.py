@@ -140,6 +140,68 @@ def test_import_checker_sees_nested_imports():
                                        (3, "dataclasses")]
 
 
+def _representation_reads(tree):
+    """(line, what) for each place that reads a representation: 'struct'
+    for an import of struct, 'storage' for a test of a value's type
+    against bytes (`x.__class__ is bytes`, `type(x) is bytes`,
+    `isinstance(x, bytes)`), 'relation' for a read of an NC poset's flat
+    relation (`.down`, `.down_start`)."""
+    found = [(line, "struct") for line, name in _imported_modules(tree)
+             if name in ("struct", "_struct")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("down",
+                                                              "down_start"):
+            found.append((node.lineno, "relation"))
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                    for op in node.ops)
+                    and any(isinstance(s, ast.Name) and s.id == "bytes"
+                            for s in sides)
+                    and any(isinstance(s, ast.Attribute)
+                            and s.attr == "__class__"
+                            or isinstance(s, ast.Call)
+                            and getattr(s.func, "id", None) == "type"
+                            for s in sides)):
+                found.append((node.lineno, "storage"))
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "isinstance"
+              and "bytes" in {n.id for n in ast.walk(node.args[1])
+                              if isinstance(n, ast.Name)}):
+            found.append((node.lineno, "storage"))
+    return sorted(found)
+
+
+# the one module each representation belongs to: kernels reads the element
+# formats, ncp its relation's flat layout
+REPRESENTATION_OWNERS = {"struct": "kernels.py", "storage": "kernels.py",
+                         "relation": "ncp.py"}
+
+
+def test_each_representation_is_read_by_its_owner_alone():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for line, what in _representation_reads(tree):
+            found.setdefault(what, []).append(f"{path.name}:{line}")
+    strays = [place for what, places in found.items() for place in places
+              if place.split(":")[0] != REPRESENTATION_OWNERS[what]]
+    assert strays == []
+    # the owners do read them (the kernels import no struct at all)
+    assert sorted(found) == ["relation", "storage"]
+
+
+def test_representation_checker_sees_each_read():
+    tree = ast.parse(
+        "import struct\nif p.__class__ is bytes: pass\n"
+        "ok = type(p) is not bytes\nisinstance(p, (bytes, tuple))\n"
+        "x = nc.down[nc.down_start[j]]\nfrom _struct import pack\n"
+        "if p.__class__ is tuple or len(down) or bytes: pass\n")
+    assert _representation_reads(tree) == [
+        (1, "struct"), (2, "storage"), (3, "storage"), (4, "storage"),
+        (5, "relation"), (5, "relation"), (6, "struct")]
+
+
 # loaded only on the paths that use them, or never: csv to render csv,
 # copy for the table records, fractions (and with it decimal and numbers)
 # only where a caller reads a prefactor as a Fraction, which no command

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -92,8 +93,8 @@ def test_colored_is_bytes_up_to_256_points(k, d, n):
 
 
 def test_kernels_import_no_struct(k):
-    # the uint16 point format is gone from the kernels; only class ids
-    # (groups) still serialize wide points that way
+    # the uint16 point format is gone from the kernels' elements; only
+    # `serialize` (class ids) writes wide points that way, by int.to_bytes
     tree = ast.parse(Path(k.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -101,6 +102,25 @@ def test_kernels_import_no_struct(k):
     imported |= {node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)}
     assert not {"struct", "_struct"} & imported
+
+
+@pytest.mark.parametrize("npoints", [6, 256, 257, 300, 2000])
+def test_serialize_and_order_key_follow_the_point_images(k, npoints):
+    # one byte per point image up to 256 points, else little-endian uint16
+    # (struct here, the reference); order_key sorts as those bytes do
+    rng = random.Random(npoints)
+    perms = [_random_perm(rng, npoints) for _ in range(60)]
+    if npoints in WIDE:
+        # elements that differ in the color of their last coordinate only
+        d = WIDE[npoints][0]
+        perms += [(d, *p[1:-1], p[-1] - p[-1] % d + c)
+                  for p in perms[:5] for c in range(0, d, d // 7 + 1)]
+    for p in perms:
+        images = list(k.unpack(p))
+        want = (bytes(images) if npoints <= 256
+                else struct.pack(f"<{len(images)}H", *images))
+        assert k.serialize(p) == want
+    assert sorted(perms, key=k.order_key) == sorted(perms, key=k.serialize)
 
 
 def test_only_identity_takes_a_width(k):

@@ -29,8 +29,8 @@ replays exactly the bytes a fresh run would print.  A run holds an
 exclusive lock on the sidecar file PATH.lock while it reads, computes and
 stores, so concurrent runs keep each other's entries.  A file that is not
 a readable cache, or has a malformed entry for the run, is left as it is,
-and a PATH that cannot be made, locked or stored to goes unused: the run
-computes and says so on stderr.
+and a PATH that is a directory or cannot be made, locked or stored to goes
+unused: the run computes and says so on stderr.
 
 Run as a script (`python3 -m ncfact.cli`), the process ends with
 os._exit(code) once main() has returned and stdout and stderr are flushed.
@@ -49,6 +49,7 @@ e.g. `ncfact.facto.count_reduced`: cli binds no such name.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import os
@@ -182,6 +183,9 @@ def _with_cache(key: str, path: Optional[str], compute) -> dict:
     key = f"{_source_digest()}|{key}"
     payload = None
     try:
+        if os.path.isdir(path):  # before its lock is made beside or in it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         # concurrent runs read, compute and store one at a time; closing
         # the sidecar file releases its lock

@@ -1,25 +1,25 @@
 """Closed-form counting identities and the per-class factorization table.
 
-The table rows ship in data/ll_table.json, stored symbolically in the
-parameters n and e with applicability predicates.  Each expression is P or
-P / Q, P and Q integer expressions in n and e, evaluated on ints to the
-exact pair (P, Q); counts are exact int division.  Rows for five rank >= 3
-types that have no faithful carrier here (G24, G27, G29, G33, G34) ship as
-reference records: they join the row-level identity checks and the
-machine-readable export, but no group construction uses them.
+The table rows ship in data/ll_table.json (read by `families.data`),
+stored symbolically in n and e with applicability predicates; entries are
+[r_expr, u_expr] pairs, a zero u meaning the class is absent.  Each
+expression is P or P / Q, P and Q integer expressions in n and e,
+evaluated on ints to the exact pair (P, Q); counts are exact int division.
+Rows for five rank >= 3 types that have no faithful carrier here (G24,
+G27, G29, G33, G34) ship as reference records with their degrees: they
+join the row-level identity checks and the machine-readable export, but no
+group construction uses them.
 """
 
 from __future__ import annotations
 
 import _ast
-import json
 import math
 from functools import cache
-from pathlib import Path
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from ncfact.errors import NoTableRow, RankTooSmall, exact_quotient
-from ncfact.families import EXCEPTIONAL, GroupSpec
+from ncfact.families import EXCEPTIONAL, GroupSpec, data
 
 if TYPE_CHECKING:  # the prefactor as a Fraction is built only on read
     from fractions import Fraction
@@ -116,20 +116,10 @@ def prefactor_of(spec: GroupSpec) -> Fraction:
     return Fraction(math.factorial(n - 2) * spec.h ** (n - 1), spec.order)
 
 
-@cache
-def _table() -> List[dict]:
-    """The symbolic rows of data/ll_table.json.  entries are [r_expr, u_expr]
-    pairs; u evaluating to zero means the class is absent at that parameter.
-    Reference rows carry their degrees so row-level identities remain
-    checkable."""
-    path = Path(__file__).resolve().parent / "data" / "ll_table.json"
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def table_records() -> List[dict]:
     """The bundled table as JSON-ready records, a fresh copy on each call."""
     import copy  # only the family table and the export need a copy
-    return copy.deepcopy(_table())
+    return copy.deepcopy(data("ll_table"))
 
 
 class ExpectedRow(NamedTuple):
@@ -148,7 +138,7 @@ class ExpectedRow(NamedTuple):
 
 
 def _row_by_name(name: str) -> dict:
-    for row in _table():
+    for row in data("ll_table"):
         if row["row"] == name:
             return row
     raise KeyError(name)

@@ -6,10 +6,11 @@ E7, E8.  Inputs are canonicalized: G(2,1,n>=2) -> B<n>, G(2,1,1) -> A1,
 G(e,e,2) -> I2(e) (e>=3) or D2, G(2,2,n) -> D<n>, and G(d,e,1), the
 cyclic group of order d/e, -> G(d/e,1,1).  Everything here is closed-form
 (degrees, order, Coxeter number) and never enumerates a group.  This is
-the one module that states per-family facts: `EXCEPTIONAL` is the one list
-of exceptional type names, and the rank is the number of degrees.  The
-exceptional degrees come from data/groups.json, which also holds the Gram
-data that rootdata builds the root systems from.
+the one module that states a group's static facts: `EXCEPTIONAL` is the
+one list of exceptional type names, an infinite family's rank and h come
+from (d, n) without listing its degrees, and `data` alone reads the
+shipped data/*.json: groups.json (exceptional degrees and the Gram data
+rootdata builds the roots from) and closedform's ll_table.json.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ _RE_G = re.compile(r"^G\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)$",
 
 
 @functools.cache
-def group_data() -> dict:
-    """data/groups.json: degrees, roots and Gram data per exceptional type."""
-    path = Path(__file__).resolve().parent / "data" / "groups.json"
+def data(name: str):
+    """data/<name>.json, read once: groups.json holds the degrees, root
+    count and Gram data per exceptional type, ll_table.json the per-class
+    table's symbolic rows."""
+    path = Path(__file__).resolve().parent / "data" / f"{name}.json"
     return json.loads(path.read_text(encoding="utf-8"))
 
 
@@ -45,7 +48,7 @@ class GroupSpec(NamedTuple):
     d: color modulus for monomial families (B: 2, D: 2, I2/GEEN: e, GD1N: d);
        0 for A and the exceptional types.
     n: number of permuted coordinates (I2: 2); 0 for exceptional types.
-    `degrees` reads d and n as stored, so `parse_group` stores them so.
+    `degrees`, `rank` and `h` read d, n as stored; `parse_group` stores so.
     """
 
     family: str
@@ -66,13 +69,13 @@ class GroupSpec(NamedTuple):
 
     @property
     def rank(self) -> int:
-        return len(self.degrees)
+        return len(self.degrees) if self.family in EXCEPTIONAL else self.n
 
     @property
     def degrees(self) -> Tuple[int, ...]:
         d, n = self.d, self.n
         if self.family in EXCEPTIONAL:
-            return tuple(group_data()[self.family]["degrees"])
+            return tuple(data("groups")[self.family]["degrees"])
         if self.family == "A":
             return tuple(range(2, n + 2))
         if self.family in ("B", "GD1N"):
@@ -82,7 +85,11 @@ class GroupSpec(NamedTuple):
 
     @property
     def h(self) -> int:
-        return self.degrees[-1]
+        fam, d, n = self
+        if fam in EXCEPTIONAL:
+            return self.degrees[-1]
+        return (n + 1 if fam == "A" else d * n if fam in ("B", "GD1N")
+                else max(d * (n - 1), n))
 
     @property
     def order(self) -> int:
@@ -98,13 +105,7 @@ class GroupSpec(NamedTuple):
         64)^2: |W| <= h^rank, and printing it, or any product of that
         length, in decimal is quadratic in its 64-bit words.  Read from
         (family, d, n), so no degree is listed or multiplied first."""
-        fam, d, n = self
-        if fam in EXCEPTIONAL:
-            rank, h = self.rank, self.h
-        else:
-            rank, h = n, (n + 1 if fam == "A" else d * n
-                          if fam in ("B", "GD1N") else max(d * (n - 1), n))
-        return ((rank * h.bit_length() + 63) // 64) ** 2
+        return ((self.rank * self.h.bit_length() + 63) // 64) ** 2
 
     @property
     def is_two_reflection(self) -> bool:

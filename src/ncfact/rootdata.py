@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ncfact import kernels
-from ncfact.families import group_data
+from ncfact.families import data
 
 Vector = Tuple[int, ...]   # (a_0, b_0, a_1, b_1, ...): sum_k (a_k + b_k phi)
 
@@ -171,11 +171,11 @@ def _reflect(form: Vector, i: int, x: Vector) -> Vector:
 
 @lru_cache(maxsize=None)
 def build_root_system(name: str) -> RootSystem:
-    data = group_data()[name]
+    shipped = data("groups")[name]
     # Q(phi) entries are [a, b] pairs for a + b*phi; Q entries are integers
-    pair = tuple if data["field"] == "Q(phi)" else (lambda x: (x, 0))
+    pair = tuple if shipped["field"] == "Q(phi)" else (lambda x: (x, 0))
     gram = tuple(tuple(c for x in row for c in pair(x))
-                 for row in data["gram"])
+                 for row in shipped["gram"])
     rank = len(gram)
     simples = _units(rank)
     simple_forms = [_form(gram, s) for s in simples]
@@ -192,10 +192,10 @@ def build_root_system(name: str) -> RootSystem:
     roots = kernels.bfs(
         [*simples, *(tuple(-x for x in v) for v in simples)], step)
     root_list = tuple(sorted(roots))
-    if len(root_list) != data["num_roots"]:
+    if len(root_list) != shipped["num_roots"]:
         raise AssertionError(
             f"{name}: root closure gave {len(root_list)} roots, "
-            f"expected {data['num_roots']}")
+            f"expected {shipped['num_roots']}")
     index = {r: i for i, r in enumerate(root_list)}
     npoints = len(root_list)
 

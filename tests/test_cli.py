@@ -352,6 +352,26 @@ def test_exit_code_failed_check(capsys, monkeypatch):
     assert "red: 999" in out
 
 
+@pytest.mark.parametrize("fmt", ["md", "json", "csv"])
+def test_a_failing_verify_report_fails_in_every_format(capsys, monkeypatch,
+                                                       fmt):
+    # one wrong closed form fails one check; the benchmark's failing_check
+    # reads md failures by the FAIL line and the `| FAIL |` cell
+    monkeypatch.setattr("ncfact.closedform.ll_number", lambda spec: 17)
+    code, out, _ = run_cli(capsys, "verify", "A3", "--format", fmt)
+    assert code == 1
+    if fmt == "md":
+        lines = out.splitlines()
+        assert "| reduced-count | 17 | 16 | FAIL |" in lines
+        assert lines[-1] == "FAIL (1 of 25 checks failed)"
+    elif fmt == "csv":
+        assert "reduced-count,17,16,false" in out.splitlines()
+    else:
+        failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+        assert failed == [{"name": "reduced-count", "expected": "17",
+                           "actual": "16", "pass": False}]
+
+
 def test_argparse_plumbing(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -373,6 +393,28 @@ def test_help_version_and_usage_lines(capsys):
     assert err.splitlines() == [
         "usage: ncfact count GROUP KIND [ARG] [OPTIONS]",
         "ncfact: error: argument --budget: must be >= 1, got 0"]
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (("verify", "A3", "--budget", "x"),
+     ["usage: ncfact verify GROUP [OPTIONS]",
+      "ncfact: error: argument --budget: invalid int value: 'x'"]),
+    (("verify", "A3", "--no-cache=1"),
+     ["usage: ncfact verify GROUP [OPTIONS]",
+      "ncfact: error: argument --no-cache: ignored explicit argument '1'"]),
+    (("count", "A3"),
+     ["usage: ncfact count GROUP KIND [ARG] [OPTIONS]",
+      "ncfact: error: the following arguments are required: kind"]),
+    (("verify", "A3", "--fo"),
+     ["usage: ncfact verify GROUP [OPTIONS]",
+      "ncfact: error: argument --format: expected one argument"]),
+])
+def test_usage_error_text(capsys, argv, lines):
+    # the property test against argparse compares exit statuses only; the
+    # text differs from argparse's on purpose (HELP's usage line, the prog
+    # name, `invalid int value`, no list of choices), so it is pinned here
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.splitlines()) == (2, "", lines)
 
 
 def test_option_spellings(capsys):
@@ -513,6 +555,20 @@ def test_unusable_cache_path_computes_without_it(capsys, tmp_path,
     code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
     assert code == 0 and out == fresh and "cannot use" in err
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("slash", ["", "/"])
+def test_a_directory_is_no_cache_and_gets_no_lock(capsys, tmp_path, slash):
+    # refused before the lock is opened: no PATH.lock beside the
+    # directory, and with a trailing slash no .lock inside it
+    argv = ("count", "A3", "red")
+    _, fresh, _ = run_cli(capsys, *argv)
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    code, out, err = run_cli(capsys, *argv, "--cache", f"{directory}{slash}")
+    assert code == 0 and out == fresh
+    assert f"cannot use {directory}{slash} as a cache" in err
+    assert sorted(tmp_path.rglob("*")) == [directory]
 
 
 def test_concurrent_runs_keep_every_entry(tmp_path):

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+from ncfact.cli import main
 from ncfact.errors import ParseError, UnsupportedGroup
-from ncfact.families import parse_group
+from ncfact.families import EXCEPTIONAL, GroupSpec, parse_group
 
 
 @pytest.mark.parametrize("text,family,d,n", [
@@ -103,6 +104,35 @@ def test_rank_equals_degree_count():
     for name, rank in ranks.items():
         spec = parse_group(name)
         assert spec.rank == len(spec.degrees) == rank, name
+
+
+SWEEP = ([f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 11)]
+         + [f"D{n}" for n in range(2, 11)]
+         + [f"I2({e})" for e in range(3, 31)]
+         + [f"G({d},1,{n})" for d in range(2, 7) for n in range(1, 7)]
+         + [f"G({e},{e},{n})" for e in range(2, 7) for n in range(2, 7)]
+         + list(EXCEPTIONAL))
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_rank_and_h_read_from_the_family_match_the_degrees(name):
+    # rank and h are stated per family without listing the degrees
+    spec = parse_group(name)
+    assert spec.rank == len(spec.degrees)
+    assert spec.h == spec.degrees[-1] == max(spec.degrees)
+
+
+def test_info_lists_the_degrees_a_bounded_number_of_times(monkeypatch,
+                                                          capsys):
+    # a closed form that read h through the degrees once per degree listed
+    # them 2,014 times for B2000, quadratic in the rank
+    builds = []
+    listed = GroupSpec.degrees.fget
+    monkeypatch.setattr(GroupSpec, "degrees", property(
+        lambda spec: builds.append(spec) or listed(spec)))
+    assert main(["info", "B2000"]) == 0
+    assert "| rank | 2000 |" in capsys.readouterr().out
+    assert 0 < len(builds) <= 8
 
 
 def test_two_reflection_classification():

@@ -7,9 +7,11 @@ a name bound by an import must be read somewhere in the module, or be
 listed in the module's `__all__` (a re-export); only the body of
 `Group.length_table` may call a routine that lists a whole group; and no
 module imports `dataclasses`; the modules the CLI imports at start-up bind
-no name from a lazy lattice module.  Fresh interpreters then check which
-modules `import ncfact.cli` loads and which each command executes, and
-the package's public names resolve to their defining modules.
+no name from a lazy lattice module, and no lazy module imports `json` or
+`pathlib`, so `families` alone reads the shipped data.  Fresh interpreters
+then check which modules `import ncfact.cli` loads and which each command
+executes, and the package's public names resolve to their defining
+modules.
 """
 
 import ast
@@ -414,6 +416,34 @@ def test_lazy_binding_checker_sees_eager_imports():
         (4, "from ncfact.facto import LLRow"),
         (5, "import ncfact.kernels"),
         (9, "from .rootdata import LANE")]
+
+
+def _file_reads(tree):
+    """(line, module) for each import of json or pathlib, at any depth."""
+    return [(line, name) for line, name in _imported_modules(tree)
+            if name.split(".")[0] in ("json", "pathlib")]
+
+
+def test_the_lazy_modules_read_no_files():
+    # `families.data` is the one reader of data/*.json; a lattice module
+    # that opened a data file itself would be a second owner of it
+    found = []
+    for name in LAZY:
+        tree = ast.parse((SRC / f"{name}.py").read_text(),
+                         filename=f"{name}.py")
+        found += [f"{name}.py:{line}: {module}"
+                  for line, module in _file_reads(tree)]
+    assert found == []
+
+
+def test_file_read_checker_sees_json_and_pathlib():
+    # the imports of a closedform.py that loaded its table itself
+    tree = ast.parse("import _ast\nimport json\nimport math\n"
+                     "from functools import cache\nfrom pathlib import Path\n"
+                     "def f():\n    import json.decoder as d\n"
+                     "    from os import path\n")
+    assert _file_reads(tree) == [(2, "json"), (5, "pathlib"),
+                                 (7, "json.decoder")]
 
 
 def _top_level_definitions():

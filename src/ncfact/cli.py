@@ -29,8 +29,9 @@ replays exactly the bytes a fresh run would print.  A run holds an
 exclusive lock on the sidecar file PATH.lock while it reads, computes and
 stores, so concurrent runs keep each other's entries.  A file that is not
 a readable cache, or has a malformed entry for the run, is left as it is,
-and a PATH that is a directory or cannot be made, locked or stored to goes
-unused: the run computes and says so on stderr.
+and a PATH that is empty, a directory or ends in a separator, or cannot
+be made, locked or stored to, goes unused: the run computes and says so
+on stderr.
 
 Run as a script (`python3 -m ncfact.cli`), the process ends with
 os._exit(code) once main() has returned and stdout and stderr are flushed.
@@ -177,13 +178,19 @@ def _source_digest() -> str:
 
 
 def _with_cache(key: str, path: Optional[str], compute) -> dict:
-    if not path:
+    if path is None:
         return compute()
     import fcntl  # POSIX only, and only --cache needs it
     key = f"{_source_digest()}|{key}"
     payload = None
     try:
-        if os.path.isdir(path):  # before its lock is made beside or in it
+        # refused before its directory is made or its lock beside or in it:
+        # an empty PATH names no file, and one that ends in a separator a
+        # directory, as an existing directory is
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    path)
+        if os.path.isdir(path) or path.endswith(os.sep):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                     path)
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)

@@ -91,19 +91,14 @@ def make_factorization(g: Group, factors: Iterable[Element]) -> Factorization:
     return Factorization(fs)
 
 
-def _count_chains(nc: NcPoset, jump_sets: Iterable[range]) -> int:
-    """Chains from the identity to c with t-th rank jump in jump_sets[t]."""
+def count_fact_by_composition(nc: NcPoset, comp: Sequence[int]) -> int:
+    """Factorizations with the given length composition: chains from the
+    identity to c whose t-th rank jump is the t-th part, by transfer sums."""
     vec = [0] * nc.size
     vec[0] = 1
-    for jumps in jump_sets:
-        vec = transfer(nc, vec, jumps)
+    for part in validate_composition(nc.group.rank, comp):
+        vec = transfer(nc, vec, part)
     return vec[-1]
-
-
-def count_fact_by_composition(nc: NcPoset, comp: Sequence[int]) -> int:
-    """Factorizations with the given length composition, by transfer sums."""
-    parts = validate_composition(nc.group.rank, comp)
-    return _count_chains(nc, [range(part, part + 1) for part in parts])
 
 
 def fact_counts(nc: NcPoset) -> List[int]:
@@ -271,7 +266,7 @@ def enumerate_by_composition(nc: NcPoset,
             out.append(Factorization(tuple(reversed(factors))))
             return
         part = parts[t - 1]
-        for i in nc.below(j, range(part, part + 1)):
+        for i in nc.below(j, part):
             quot = kernels.compose(inv[i], nc.perms[j])
             factors.append(Element(g.name, quot))
             walk(i, t - 1)

@@ -11,7 +11,8 @@ a wide monomial element's n coordinates), serializes and orders it;
 (v*w)(x) = v(w(x)), so multiply(a, b) applies b first.
 
 The carrier also gives a small generating set (for conjugacy orbits and
-the Schreier-Sims order) and the lower covers of an element of NC(W, c), so
+the Schreier-Sims order) and says which reflections t =< v give lower
+covers v*t of an element v of NC(W, c), among those it is asked about, so
 no library path lists W or a subgroup: rank-2 parabolics are Schreier-Sims
 chains, and the length table (a BFS over W) serves the test oracles only.
 The budget (default 10^7) bounds work, not |W|: each phase checks its
@@ -51,10 +52,10 @@ class _Carrier(NamedTuple):
     """A faithful permutation action of W.
 
     gens generate W (checked by the verifier's group-order, a Schreier-Sims
-    order over them); lower_covers(v, within=None), for v in NC(W, c),
-    returns the v*t (t in T) with t =< v, i.e. the elements v covers in
-    absolute order, and the within to pass for them: Mov(v) as roots on a
-    root carrier, None on a monomial one.  Neither keeps state.
+    order over them); covers(v, candidates), for v in NC(W, c), returns the
+    k among candidates (indices into refl_perms, in their order) for which
+    v*t_k is a lower cover of v in absolute order, i.e. t_k =< v.  It keeps
+    no state; which candidates to ask about is the NC walk's to decide.
     """
 
     identity: Perm
@@ -63,7 +64,7 @@ class _Carrier(NamedTuple):
     coxeter: Perm
     codim: Callable[[Perm], int]
     gens: Tuple[Perm, ...]
-    lower_covers: Callable[..., Tuple[List[Perm], Optional[List[int]]]]
+    covers: Callable[[Perm, Sequence[int]], List[int]]
 
 
 def _carrier_a(n: int) -> _Carrier:
@@ -143,11 +144,11 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
     # is read off the cycles of v: a diagonal t adds its color to one
     # cycle's sum, a transposition joins two cycles (sums add) or splits
     # one, and codim drops by one iff exactly one more cycle sums to 0.
-    # Only the covers are composed.
-    def lower_covers(v: Perm, within=None) -> Tuple[List[Perm], None]:
+    def covers(v: Perm, candidates: Sequence[int]) -> List[int]:
         first, pos, pre, total = cycle_sums(coords(v))
         out = []
-        for t, i, j, a in shapes:
+        for k in candidates:
+            _, i, j, a = shapes[k]
             s = total[first[i]]
             if j < 0:
                 hit = s and not (s + a) % d
@@ -162,13 +163,12 @@ def _carrier_monomial(d: int, n: int, with_diagonal: bool) -> _Carrier:
                 b = (pre[j] - pre[i] + wrap - a) % d
                 hit = b == 0 or b == s
             if hit:
-                out.append(kernels.compose(v, t))
-        return out, None
+                out.append(k)
+        return out
 
     refl_perms = tuple(t for t, *_ in shapes)
     return _Carrier(kernels.colored(d, range(0, n * d, d)), refl_perms,
-                    frozenset(refl_perms), cox, codim, tuple(parts),
-                    lower_covers)
+                    frozenset(refl_perms), cox, codim, tuple(parts), covers)
 
 
 def _carrier_root(name: str) -> _Carrier:
@@ -176,7 +176,7 @@ def _carrier_root(name: str) -> _Carrier:
     return _Carrier(kernels.identity(rs.npoints), rs.reflection_perms,
                     frozenset(rs.reflection_perms),
                     functools.reduce(kernels.compose, rs.simple_perms),
-                    rs.codim, rs.simple_perms, rs.lower_covers)
+                    rs.codim, rs.simple_perms, rs.covers)
 
 
 class Group:

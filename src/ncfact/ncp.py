@@ -4,22 +4,24 @@ NC(W, c) = {w : w =< c} in absolute order, graded by reflection length.
 Elements are sorted by (rank, permutation), so index 0 is the identity
 and the last index is the Coxeter element.  The poset is found by walking
 down from c along covers, and the order relation is the closure of those
-covers.  The carrier lists the lower covers of each element it is handed,
-so W is never enumerated: a root carrier keeps the v*t whose root of t lies
-in Mov(v) (one pass over the cycles of v, within Mov of an upper cover,
-decides every t), a monomial carrier the v*t of codim one less than v
-(read off the cycles of v and their color sums).  The covers give the
-down-sets and `paths` (|Red(w)|, the maximal chains up to w), then go.
+covers.  For each element v the walk names the reflections to try, and the
+carrier says which of them give lower covers v*t, so W is never enumerated:
+a root carrier keeps the t whose root lies in Mov(v) (its v-cycle sums to
+zero), a monomial carrier the t that drop codim by one (read off the cycles
+of v and their color sums).  c is asked about all of T, any other element
+only about the covers of its first upper cover, and only this module
+composes a cover.  The covers give the down-sets and `paths` (|Red(w)|,
+the maximal chains up to w), then go.
 Class ids are computed only for the elements they are asked for, and the
 group memoises them.  The codimension-2 strata are the classes of the
 rank-2 elements; each `NcClass` carries its members, their NC indices.
 
 The relation is stored flat: the down-set of j is the sorted slice
 down[down_start[j]:down_start[j + 1]], ending at j, and since indices
-increase with rank the i below j with a given range of rank jumps are one
-bisected slice of it (`NcPoset.below`; `strictly_below` drops j).  That
-is the one predecessor structure, and only this module reads its layout:
-multichain and chain counting are `transfer` steps over it.
+increase with rank the i below j with a given rank jump are one bisected
+slice of it (`NcPoset.below`; `strictly_below` drops j).  That is the one
+predecessor structure, and only this module reads its layout: multichain
+and chain counting are `transfer` steps over it.
 """
 
 from __future__ import annotations
@@ -53,27 +55,29 @@ class NcPoset:
     """Materialized NC(W, c); immutable after construction."""
 
     def __init__(self, group: Group):
-        # the walk tests each element against every t: |NC| * |T|, with
-        # |NC| from the closed form
+        # the walk tests each element against at most every t: |NC| * |T|
+        # bounds it, with |NC| from the closed form
         group.check_budget("NC walk", fuss_catalan(group.spec, 1)
                            * group.num_reflections)
         car = group.carrier
+        refl = car.refl_perms
         n = group.rank
         # [1, c] is graded and downward closed, so the walk down from c by
-        # covers reaches all of it, and rank is n minus distance.  The
-        # carrier lists the lower covers of v without knowing l_T on W.
-        # Each element is kept once: a cover met again is swapped for the
-        # copy seen first.  hint[u] is the carrier's hint from the first
-        # upper cover that listed u; u is asked for its covers after all.
+        # covers reaches all of it, and rank is n minus distance.  c is
+        # asked about every t, any other u about the covers of the first
+        # upper cover v that listed it: u*t covers u iff t =< u, and then
+        # t =< v, so v*t covers v (Bessis 2003).  Each element is kept
+        # once: a cover met again is swapped for the copy seen first.
         lower: Dict[Perm, List[Perm]] = {}
         seen: Dict[Perm, Perm] = {}
-        hint: Dict[Perm, Optional[List[int]]] = {}
+        asked: Dict[Perm, Sequence[int]] = {car.coxeter: range(len(refl))}
 
         def step(v: Perm) -> List[Perm]:
-            covers, moved = car.lower_covers(v, hint.pop(v, None))
-            lower[v] = [seen.setdefault(x, x) for x in covers]
+            ks = car.covers(v, asked.pop(v))
+            lower[v] = [seen.setdefault(x, x)
+                        for x in (kernels.compose(v, refl[k]) for k in ks)]
             for u in lower[v]:
-                hint.setdefault(u, moved)
+                asked.setdefault(u, ks)
             return lower[v]
 
         dist = kernels.bfs([car.coxeter], step)
@@ -135,16 +139,15 @@ class NcPoset:
         """The i < j below j, increasing: the down-set of j less j."""
         return self.down[self.down_start[j]:self.down_start[j + 1] - 1]
 
-    def below(self, j: int, jumps: range) -> array:
-        """The i <= j whose rank jump to j lies in jumps (a range of step
-        1), increasing: one bisected slice of the down-set of j."""
+    def below(self, j: int, k: int) -> array:
+        """The i <= j of rank jump k to j, increasing: one bisected slice
+        of the down-set of j."""
         a, b = self.down_start[j], self.down_start[j + 1]
-        top = self.ranks[j] - jumps.start
-        if top < 0:
+        r = self.ranks[j] - k
+        if r < 0:
             return self.down[a:a]
-        lo = self.rank_start[max(top - len(jumps) + 1, 0)]
-        p = bisect_left(self.down, lo, a, b)
-        return self.down[p:bisect_left(self.down, self.rank_start[top + 1],
+        p = bisect_left(self.down, self.rank_start[r], a, b)
+        return self.down[p:bisect_left(self.down, self.rank_start[r + 1],
                                        p, b)]
 
     def leq(self, u: Element, v: Element) -> bool:
@@ -161,16 +164,16 @@ def build_nc(group: Group) -> NcPoset:
     return group._nc
 
 
-def transfer(nc: NcPoset, vec: Sequence[int], jumps: range) -> List[int]:
-    """One transfer step: out[j] sums vec[i] over the i <= j whose rank
-    jump to j lies in jumps."""
+def transfer(nc: NcPoset, vec: Sequence[int], k: Optional[int] = None
+             ) -> List[int]:
+    """One transfer step: out[j] sums vec[i] over the i <= j of rank jump k
+    to j, or over the whole down-set of j when k is None."""
     get = vec.__getitem__
-    if jumps.start <= 0 and jumps.stop > nc.group.rank:
-        # every jump: the whole down-set of j, no bisects
+    if k is None:
         down, start = nc.down, nc.down_start
         return [sum(map(get, down[start[j]:start[j + 1]]))
                 for j in range(nc.size)]
-    return [sum(map(get, nc.below(j, jumps))) for j in range(nc.size)]
+    return [sum(map(get, nc.below(j, k))) for j in range(nc.size)]
 
 
 def count_multichains(nc: NcPoset, p: int) -> int:
@@ -179,7 +182,7 @@ def count_multichains(nc: NcPoset, p: int) -> int:
         raise ValueError("p must be >= 1")
     counts = [1] * nc.size
     for _ in range(p - 1):
-        counts = transfer(nc, counts, range(nc.group.rank + 1))
+        counts = transfer(nc, counts)
     return sum(counts)
 
 

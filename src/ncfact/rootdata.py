@@ -10,15 +10,15 @@ simple reflections yields the full root system, and every group element is
 carried as a permutation of the sorted root list.  Only the simple
 reflections are computed root by root: the closure records how it first met
 each root, beta = s_i(gamma), and s_beta = s_i s_gamma s_i is then two
-composes.  This module alone knows the roots: each root's reflection
-(`RootSystem.refl_index`) and the cover rule of NC(W, c) on them
-(`RootSystem.lower_covers`), which the root carrier in `groups` hands on.
+composes.  This module alone knows the roots: one root of each reflection
+(`RootSystem.refl_root`) and the cover rule of NC(W, c) on them
+(`RootSystem.covers`), which the root carrier in `groups` hands on.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from ncfact import kernels
 from ncfact.families import data
@@ -35,7 +35,7 @@ class RootSystem(NamedTuple):
     reflection_perms: Tuple[bytes, ...]     # one per root pair, sorted
     simple_perms: Tuple[bytes, ...]         # reflections of the simple roots
     packed: Tuple[int, ...]                 # root i as one int, see LANE
-    refl_index: Tuple[int, ...]             # root i -> its reflection's index
+    refl_root: Tuple[int, ...]              # reflection k -> one of its roots
 
     @property
     def npoints(self) -> int:
@@ -52,45 +52,28 @@ class RootSystem(NamedTuple):
             [y - x for x, y in zip(e, self.roots[images[self.index[e]]])]
             for e in _units(self.rank)])
 
-    def moved_roots(self, perm: bytes,
-                    points: Optional[Sequence[int]] = None) -> List[int]:
-        """The roots among points (all roots by default) that lie in
-        Mov(perm) = Im(perm - 1); perm must permute points.
+    def covers(self, v: bytes, candidates: Sequence[int]) -> List[int]:
+        """The k among candidates, in their order, with v*t_k a lower cover
+        of v in NC(W, c): t =< v iff the root of t lies in Mov(v) =
+        Im(v - 1) (Brady-Watt 2002 with Carter 1972, Lemma 2).
 
-        The average of the powers of perm projects onto Fix(perm) with
-        kernel Mov(perm), so a root lies in Mov(perm) iff the roots of its
-        perm-cycle sum to zero; with packed roots a cycle sum is one int
-        addition per root.
+        The average of the powers of v projects onto Fix(v) with kernel
+        Mov(v), so a root lies in Mov(v) iff the roots of its v-cycle sum
+        to zero; with packed roots a cycle sum is one int addition per root.
         """
-        images = kernels.unpack(perm)
-        packed = self.packed
-        moved: List[int] = []
-        seen = bytearray(len(images))
-        for start in range(len(images)) if points is None else points:
-            if seen[start]:
-                continue
-            cycle = []
-            total = 0
-            x = start
-            while not seen[x]:
-                seen[x] = 1
-                cycle.append(x)
-                total += packed[x]
-                x = images[x]
+        images = kernels.unpack(v)
+        packed, root = self.packed, self.refl_root
+        out = []
+        for k in candidates:
+            x = root[k]
+            total = packed[x]
+            y = images[x]
+            while y != x:
+                total += packed[y]
+                y = images[y]
             if not total:
-                moved += cycle
-        return moved
-
-    def lower_covers(self, v: bytes, within: Optional[Sequence[int]] = None
-                     ) -> Tuple[List[bytes], List[int]]:
-        """The lower covers v*t of v in NC(W, c), in reflection order, and
-        Mov(v) as roots, the within to pass for them: t =< v iff the root
-        of t lies in Mov(v) (Brady-Watt 2002 with Carter 1972, Lemma 2).
-        within, when given, is Mov(u) of some u above v: v =< u fixes
-        Fix(u), so it permutes those roots, and Mov(v) lies among them."""
-        moved = self.moved_roots(v, within)
-        return [kernels.compose(v, self.reflection_perms[k])
-                for k in sorted({self.refl_index[x] for x in moved})], moved
+                out.append(k)
+        return out
 
 
 # A root packs into one int with a signed LANE-bit lane per int of its flat
@@ -215,11 +198,12 @@ def build_root_system(name: str) -> RootSystem:
                 kernels.compose(simple_perms[i], refl[y]), simple_perms[i])
     # negation reverses the lexicographic order, so root i and root
     # npoints-1-i are a +/- pair with one reflection: the first half suffices
-    perms = sorted({refl[beta] for beta in root_list[:npoints // 2]})
-    if len(perms) != npoints // 2:
+    half = root_list[:npoints // 2]
+    root_of = {refl[beta]: i for i, beta in enumerate(half)}
+    if len(root_of) != npoints // 2:
         raise AssertionError(f"{name}: expected {npoints // 2} reflections, "
-                             f"got {len(perms)}")
-    position = {t: k for k, t in enumerate(perms)}
+                             f"got {len(root_of)}")
+    perms = sorted(root_of)
 
     bound = max(abs(c) for r in root_list for c in r)
     if npoints * bound >= 1 << (LANE - 1):
@@ -227,7 +211,7 @@ def build_root_system(name: str) -> RootSystem:
     rs = RootSystem(name=name, rank=rank, gram=gram, roots=root_list,
                     index=index, reflection_perms=tuple(perms),
                     simple_perms=simple_perms,
-                    refl_index=tuple(position[refl[r]] for r in root_list),
+                    refl_root=tuple(root_of[t] for t in perms),
                     packed=tuple(sum(c << (k * LANE) for k, c in enumerate(r))
                                  for r in root_list))
     for p in simple_perms:

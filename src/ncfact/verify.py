@@ -37,7 +37,7 @@ test (see ncp) and the parabolic degrees from a Schreier-Sims chain, so the
 cost follows |NC|*|T|.  The exhaustive fiber and Hurwitz checks only run
 when |Red(c)| <= ORBIT_GATE; everything else is DP-based, and E7 and E8
 pass every check that runs under the default budget, in 0.2 s and
-1.35-1.6 s as fresh processes on a 2-vCPU Xeon VM.
+1.35-1.5 s as fresh processes on a 2-vCPU Xeon VM.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
     # transfer step takes p - 1 to p
     chains = [1] * nc.size
     for p in range(2, p_max + 1):
-        chains = ncp.transfer(nc, chains, range(n + 1))
+        chains = ncp.transfer(nc, chains)
         add(f"multichains-p{p}", closedform.fuss_catalan(spec, p), sum(chains))
 
     fact_k = facto.fact_counts(nc)

@@ -19,9 +19,6 @@ from ncfact import __version__, kernels
 from ncfact.groups import ClassId, Element, Group
 from ncfact.ncp import NcPoset, strata_codim2
 
-# the rank jumps of a cover
-COVER = range(1, 2)
-
 
 def elements(g: Group) -> Iterator[Element]:
     """All elements in deterministic BFS-by-length order."""
@@ -65,7 +62,7 @@ def _cover_paths(nc: NcPoset) -> List[int]:
     paths[0] = 1
     get = paths.__getitem__
     for j in range(1, nc.size):
-        paths[j] = sum(map(get, nc.below(j, COVER)))
+        paths[j] = sum(map(get, nc.below(j, 1)))
     return paths
 
 
@@ -79,14 +76,14 @@ def submaximal_counts_by_pairs(nc: NcPoset) -> Dict[ClassId, int]:
     backward = [0] * size
     backward[size - 1] = 1
     for j in range(size - 1, 0, -1):
-        for i in nc.below(j, COVER):
+        for i in nc.below(j, 1):
             backward[i] += backward[j]
     # weight[q]: submaximal factorizations whose length-2 factor is
     # element q; the jump-2 pair (i, j) contributes forward[i]*backward[j]
     inv = [kernels.inverse(p) for p in nc.perms]
     weight = [0] * size
     for j in range(size):
-        for i in nc.below(j, range(2, 3)):
+        for i in nc.below(j, 2):
             q = nc.index[kernels.compose(inv[i], nc.perms[j])]
             weight[q] += forward[i] * backward[j]
     counts = {cls.class_id: sum(weight[q] for q in cls.members)

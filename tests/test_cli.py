@@ -571,6 +571,21 @@ def test_a_directory_is_no_cache_and_gets_no_lock(capsys, tmp_path, slash):
     assert sorted(tmp_path.rglob("*")) == [directory]
 
 
+@pytest.mark.parametrize("path", ["", os.path.join("newdir", "sub", "")])
+def test_a_path_naming_no_file_makes_nothing(capsys, tmp_path, monkeypatch,
+                                             path):
+    # "" names no file (it would resolve to the working directory), and
+    # newdir/sub/ names a directory though neither exists yet: each is
+    # refused with the note before any directory or .lock is made
+    argv = ("count", "A3", "red")
+    _, fresh, _ = run_cli(capsys, *argv)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--cache", path)
+    assert code == 0 and out == fresh
+    assert f"cannot use {path} as a cache" in err
+    assert sorted(tmp_path.rglob("*")) == []
+
+
 def test_concurrent_runs_keep_every_entry(tmp_path):
     # each run takes long enough that, without the lock, several would read
     # the empty cache before any stores

@@ -5,8 +5,9 @@ cheap.
 No linter ships with the package, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the module, or be
 listed in the module's `__all__` (a re-export); only the body of
-`Group.length_table` may call a routine that lists a whole group; and no
-module imports `dataclasses`; the modules the CLI imports at start-up bind
+`Group.length_table` may call a routine that lists a whole group, and
+only the NC walk asks a carrier for covers; and no module imports
+`dataclasses`; the modules the CLI imports at start-up bind
 no name from a lazy lattice module, and no lazy module imports `json` or
 `pathlib`, so `families` alone reads the shipped data.  Fresh interpreters
 then check which modules `import ncfact.cli` loads and which each command
@@ -70,9 +71,10 @@ def test_checker_sees_an_unused_import():
 LISTING = {"length_table", "leq_rows", "bfs_lengths"}
 
 
-def _listing_calls(tree):
-    """(enclosing def, called name) for each call of a LISTING name; the
-    enclosing def is Class.method or the function, '' at module level."""
+def _named_calls(tree, names):
+    """(enclosing def, called name) for each call of a function or method
+    named in names; the enclosing def is Class.method or the function,
+    '' at module level."""
     found = []
 
     def visit(node, scope):
@@ -84,7 +86,7 @@ def _listing_calls(tree):
             elif isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "attr", getattr(func, "id", None))
-                if name in LISTING:
+                if name in names:
                     found.append((scope, name))
             visit(child, inner)
 
@@ -99,15 +101,29 @@ def test_no_library_path_lists_a_group():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         calls += [(path.name, scope, name)
-                  for scope, name in _listing_calls(tree)]
+                  for scope, name in _named_calls(tree, LISTING)]
     assert calls == [("groups.py", "Group.length_table", "bfs_lengths")]
+
+
+def test_only_the_nc_walk_asks_for_covers():
+    # the walk alone decides which reflections a carrier is asked about,
+    # and composes the covers it answers with
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [(path.name, scope, name)
+                  for scope, name in _named_calls(tree, {"covers"})]
+    assert calls == [("ncp.py", "NcPoset.__init__.step", "covers")]
 
 
 def test_listing_checker_sees_calls():
     tree = ast.parse("class G:\n    def f(self):\n        k.leq_rows(1)\n"
                      "def h():\n    return length_table()\nbfs_lengths()\n")
-    assert _listing_calls(tree) == [("G.f", "leq_rows"),
-                                    ("h", "length_table"), ("", "bfs_lengths")]
+    assert _named_calls(tree, LISTING) == [
+        ("G.f", "leq_rows"), ("h", "length_table"), ("", "bfs_lengths")]
+    tree = ast.parse("def step(v):\n    return car.covers(v, ks)\n"
+                     "covers = rs.covers\n")
+    assert _named_calls(tree, {"covers"}) == [("step", "covers")]
 
 
 def _imported_modules(tree):

@@ -12,7 +12,6 @@ from ncfact.facto import (count_fact_by_composition, count_fact_k,
 from ncfact.families import parse_group
 from ncfact.groups import Element
 from ncfact.ncp import count_multichains, fuss_catalan, strata_codim2
-from ncfact.rootdata import build_root_system
 from oracle import _cover_paths, absolute_leq, elements, reflection_length
 
 # |NC(W)| = prod (d_i + h)/d_i, all independently recomputable by hand
@@ -238,7 +237,7 @@ def test_poset_matches_old_route(nc_of, name):
         for i in below:
             up[i] |= 1 << j
     assert up == rows
-    assert [[list(nc.below(j, range(k, k + 1))) for j in range(nc.size)]
+    assert [[list(nc.below(j, k)) for j in range(nc.size)]
             for k in range(nc.group.rank + 1)] == preds
     assert down == preds_all
     assert [nc.class_id(i) if r == 2 else None
@@ -283,38 +282,45 @@ def test_mov_test_matches_codim_drop(nc_of, name):
     # of v and v*t, for every v in NC and every t
     nc = nc_of(name)
     car = nc.group.carrier
-    rs = build_root_system(name)
-    last = rs.npoints - 1
-    roots = [next(i for i in range(rs.npoints) if t[i] == last - i)
-             for t in car.refl_perms]
+    everything = range(len(car.refl_perms))
     for v in nc.perms:
-        moved = set(rs.moved_roots(v))
         drop = car.codim(v) - 1
-        assert [i in moved for i in roots] == [
-            car.codim(kernels.compose(v, t)) == drop for t in car.refl_perms]
-        assert car.lower_covers(v)[0] == [
-            kernels.compose(v, t) for t, i in zip(car.refl_perms, roots)
-            if i in moved]
+        assert car.covers(v, everything) == [
+            k for k, t in enumerate(car.refl_perms)
+            if car.codim(kernels.compose(v, t)) == drop]
 
 
-@pytest.mark.parametrize("name", ["F4", "H4", "E6"])
-def test_root_covers_within_an_upper_covers_roots(nc_of, name):
-    # the moved roots of any upper cover of v only narrow the scan: the
-    # covers of v are the same with them or without, and the carrier keeps
-    # nothing between calls, so neither order changes either answer
+@pytest.mark.parametrize("name", ORACLE_GROUPS + ("E7",))
+def test_covers_of_an_upper_cover_narrow_the_scan(nc_of, name):
+    # the covers of an upper cover v only narrow the scan: for every
+    # cover pair u < v, asking about the covers of v gives the covers of u
+    # that the whole of T gives, and the carrier keeps nothing between calls
     nc = nc_of(name)
     car = nc.group.carrier
-    moved = [car.lower_covers(p)[1] for p in nc.perms]
+    everything = range(len(car.refl_perms))
+    full = [car.covers(p, everything) for p in nc.perms]
     for j in range(nc.size):
-        for i in nc.below(j, range(1, 2)):
-            v = nc.perms[i]
-            covers, roots = car.lower_covers(v)
-            hinted = car.lower_covers(v, moved[j])
-            assert hinted[0] == covers
-            assert sorted(hinted[1]) == sorted(roots)
-            assert car.lower_covers(v) == (covers, roots)
-            assert car.lower_covers(v, moved[j]) == hinted
+        for i in nc.below(j, 1):
+            assert car.covers(nc.perms[i], full[j]) == full[i]
+    assert [car.covers(p, everything) for p in nc.perms] == full
 
+
+@pytest.mark.parametrize("name,share", [("E7", 0.25), ("A7", 0.4)])
+def test_the_walk_asks_about_few_reflections(name, share):
+    # each element is asked only about the covers of its first upper cover,
+    # a fraction of |NC| * |T| (E7 asks 58,643 of 262,080)
+    g = build_group(name)
+    car = g.carrier
+    asked = []
+
+    def spy(v, candidates):
+        asked.append(len(candidates))
+        return car.covers(v, candidates)
+
+    g.__dict__["carrier"] = car._replace(covers=spy)
+    nc = build_nc(g)
+    assert len(asked) == nc.size
+    assert sum(asked) <= share * nc.size * g.num_reflections
 
 
 MONOMIAL = ("A", "B", "D", "I2", "GD1N", "GEEN")
@@ -347,8 +353,8 @@ def _check_cycle_rule(group, perms):
     n = group.rank + (group.spec.family == "A")
     for v in perms:
         drop = _codim_on_coordinates(v, n) - 1
-        assert car.lower_covers(v)[0] == [
-            kernels.compose(v, t) for t in car.refl_perms
+        assert car.covers(v, range(len(car.refl_perms))) == [
+            k for k, t in enumerate(car.refl_perms)
             if _codim_on_coordinates(kernels.compose(v, t), n) == drop], v
 
 

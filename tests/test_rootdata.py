@@ -124,14 +124,16 @@ def test_reflections_by_conjugation_match_direct_route(name):
 @pytest.mark.parametrize("name", ["H3", "F4", "H4", "E6", "E7", "E8"])
 def test_refl_index_matches_an_image_scan(name):
     # a reflection negates exactly one +/- root pair, root i and root
-    # npoints-1-i of the sorted list; refl_index, recorded as the closure
-    # makes the reflections, must name that reflection for both roots
+    # npoints-1-i of the sorted list, and the pairs of all reflections
+    # cover the roots; each reflection index must lead (through refl_root,
+    # recorded as the closure makes the reflections) to the root of that
+    # pair in the first half
     rs = build_root_system(name)
     last = rs.npoints - 1
-    scan = [None] * rs.npoints
-    for k, t in enumerate(rs.reflection_perms):
+    scan = []
+    for t in rs.reflection_perms:
         negated = [i for i, y in enumerate(kernels.unpack(t)) if y == last - i]
         assert len(negated) == 2
-        for i in negated:
-            scan[i] = k
-    assert list(rs.refl_index) == scan
+        scan.append(negated)
+    assert sorted(i for pair in scan for i in pair) == list(range(rs.npoints))
+    assert list(rs.refl_root) == [pair[0] for pair in scan]

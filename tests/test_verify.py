@@ -106,7 +106,7 @@ def _one_reduced(nc):
     """The factors of one maximal chain of NC, walked down from c."""
     j, factors = nc.size - 1, []
     while j:
-        i = nc.below(j, range(1, 2))[0]
+        i = nc.below(j, 1)[0]
         factors.append(Element(nc.group.name, kernels.compose(
             kernels.inverse(nc.perms[i]), nc.perms[j])))
         j = i

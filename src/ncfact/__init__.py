@@ -51,7 +51,7 @@ __all__ = [
     "ClassId", "Element", "Group", "build_group",
     "NcClass", "NcPoset", "build_nc", "count_multichains", "fuss_catalan",
     "strata_codim2",
-    "Factorization", "LLRow", "concatenation_fibers",
+    "LLRow", "concatenation_fibers",
     "count_fact_by_composition", "count_fact_k", "count_reduced",
     "derived_degree", "enumerate_by_composition", "enumerate_reduced",
     "hurwitz_move", "hurwitz_orbit", "make_factorization", "r_lambda",

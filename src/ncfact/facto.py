@@ -1,12 +1,12 @@
 """Block factorizations of the Coxeter element.
 
-A block factorization of c is a tuple of non-identity elements whose product
-is c and whose reflection lengths sum to l(c) = rank.  Factorizations with
-composition (l(w_1), ..., l(w_p)) correspond to strict rank-jump chains in
-NC(W, c), so counting reads the materialized poset: |Red(w)| is its
-`paths`, counted by the walk, and the rest are passes over its relation
-(the per-class submaximal counts add the Hurwitz action, see
-`submaximal_by_class`);
+A block factorization of c is a plain tuple of non-identity elements whose
+product is c and whose reflection lengths sum to l(c) = rank; only
+`make_factorization` validates one.  Factorizations with composition
+(l(w_1), ..., l(w_p)) correspond to strict rank-jump chains in NC(W, c), so
+counting reads the materialized poset: |Red(w)| is its `paths`, counted by
+the walk, and the rest are passes over its relation (the per-class
+submaximal counts add the Hurwitz action, see `submaximal_by_class`);
 explicit enumeration is kept alongside as an independent route and for the
 Hurwitz/concatenation checks.  An `LLRow` is a codimension-2 stratum
 (`ncp.NcClass`) plus its counts; its r and reducibility come from one scan
@@ -28,30 +28,6 @@ from ncfact.kernels import Perm
 from ncfact.ncp import NcClass, NcPoset, build_nc, strata_codim2, transfer
 
 
-class Factorization:
-    """Tuple of factors; build validated instances via make_factorization.
-    Equal, and hashed alike, iff the factors are."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: Tuple[Element, ...]):
-        self.factors = factors
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
-
-    def __repr__(self) -> str:
-        return f"Factorization(factors={self.factors!r})"
-
-
 class LLRow(NamedTuple):
     """A codimension-2 stratum (the fields of `ncp.NcClass`, first) plus
     its submaximal factorization data."""
@@ -69,10 +45,11 @@ class LLRow(NamedTuple):
     size_in_nc = NcClass.size_in_nc
 
 
-def make_factorization(g: Group, factors: Iterable[Element]) -> Factorization:
-    """Validate non-identity factors, product c, and length sum n: the
-    prefix products rise strictly in NC(W, c) to c, so each factor's
-    length is its rank jump (and conversely)."""
+def make_factorization(g: Group, factors: Iterable[Element]
+                       ) -> Tuple[Element, ...]:
+    """The factors as a tuple, once validated: non-identity, product c, and
+    length sum n.  The prefix products rise strictly in NC(W, c) to c, so
+    each factor's length is its rank jump (and conversely)."""
     fs = tuple(factors)
     if not fs:
         raise ValueError("a factorization needs at least one factor")
@@ -88,7 +65,7 @@ def make_factorization(g: Group, factors: Iterable[Element]) -> Factorization:
         prev = cur
     if prev != g.coxeter:
         raise ValueError("product of factors is not the Coxeter element")
-    return Factorization(fs)
+    return fs
 
 
 def count_fact_by_composition(nc: NcPoset, comp: Sequence[int]) -> int:
@@ -202,22 +179,22 @@ def _braid(a: Perm, b: Perm, direction: int,
     return (b, kernels.compose(kernels.compose(inverse(b), a), b))
 
 
-def hurwitz_move(g: Group, f: Factorization, i: int,
-                 direction: int = 1) -> Factorization:
+def hurwitz_move(g: Group, f: Tuple[Element, ...], i: int,
+                 direction: int = 1) -> Tuple[Element, ...]:
     """Braid move at window i (1-based): (a, b) -> (aba^-1, a), or the
     inverse (a, b) -> (b, b^-1 a b) when direction is -1."""
-    p = len(f.factors)
+    p = len(f)
     if not 1 <= i <= p - 1:
         raise IndexOutOfRange(f"window {i} not in 1..{p - 1}")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    a, b = (g._own(x) for x in f.factors[i - 1:i + 1])
+    a, b = (g._own(x) for x in f[i - 1:i + 1])
     moved = tuple(Element(g.name, q) for q in _braid(a, b, direction))
-    return Factorization(f.factors[:i - 1] + moved + f.factors[i + 1:])
+    return f[:i - 1] + moved + f[i + 1:]
 
 
-def hurwitz_orbit(g: Group, f: Factorization,
-                  cap: Optional[int] = None) -> List[Factorization]:
+def hurwitz_orbit(g: Group, f: Tuple[Element, ...],
+                  cap: Optional[int] = None) -> List[Tuple[Element, ...]]:
     """Orbit of f under all braid moves, BFS order; BudgetExceeded past cap.
 
     The braid group acts on the finite orbit by permutations, so each
@@ -242,28 +219,28 @@ def hurwitz_orbit(g: Group, f: Factorization,
         return tuple(map(fid, _braid(factors[a], factors[b], 1, inverse)))
 
     orbit = kernels.bfs(
-        [tuple(fid(x.perm) for x in f.factors)],
+        [tuple(fid(x.perm) for x in f)],
         lambda state: [state[:i] + braid(state[i], state[i + 1])
                        + state[i + 2:] for i in range(len(state) - 1)],
         cap)
-    return [Factorization(tuple(Element(g.name, factors[k]) for k in state))
-            for state in orbit]
+    elements = [Element(g.name, p) for p in factors]
+    return [tuple(elements[k] for k in state) for state in orbit]
 
 
-def enumerate_by_composition(nc: NcPoset,
-                             comp: Sequence[int]) -> List[Factorization]:
+def enumerate_by_composition(nc: NcPoset, comp: Sequence[int]
+                             ) -> List[Tuple[Element, ...]]:
     """All factorizations with the given composition, explicitly."""
     parts = validate_composition(nc.group.rank, comp)
     g = nc.group
     inv = [kernels.inverse(p) for p in nc.perms]
-    out: List[Factorization] = []
+    out: List[Tuple[Element, ...]] = []
     factors: List[Element] = []
 
     # walk down from c: the t-th step from the top peels off the factor of
     # length parts[-t], so the factors come out last first
     def walk(j: int, t: int) -> None:
         if t == 0:
-            out.append(Factorization(tuple(reversed(factors))))
+            out.append(tuple(reversed(factors)))
             return
         part = parts[t - 1]
         for i in nc.below(j, part):
@@ -276,21 +253,21 @@ def enumerate_by_composition(nc: NcPoset,
     return out
 
 
-def enumerate_reduced(nc: NcPoset) -> List[Factorization]:
+def enumerate_reduced(nc: NcPoset) -> List[Tuple[Element, ...]]:
     """All reduced reflection factorizations of c, explicitly."""
     return enumerate_by_composition(nc, (1,) * nc.group.rank)
 
 
-def concatenation_fibers(g: Group, reduced: Iterable[Factorization]
-                         ) -> Dict[Factorization, int]:
+def concatenation_fibers(g: Group, reduced: Iterable[Tuple[Element, ...]]
+                         ) -> Dict[Tuple[Element, ...], int]:
     """Fiber sizes of Red(c) -> fact(2,1,...,1), merging the first two
     reflections of each factorization in reduced (Red(c), as
     enumerate_reduced lists it); keys are the image factorizations."""
     if g.rank < 2:
         raise RankTooSmall("concatenation needs rank >= 2")
-    fibers: Dict[Factorization, int] = {}
+    fibers: Dict[Tuple[Element, ...], int] = {}
     for f in reduced:
-        merged = g.multiply(f.factors[0], f.factors[1])
-        image = Factorization((merged,) + f.factors[2:])
+        merged = g.multiply(f[0], f[1])
+        image = (merged,) + f[2:]
         fibers[image] = fibers.get(image, 0) + 1
     return fibers

@@ -174,7 +174,7 @@ def run_verify(spec: GroupSpec, p_max: int = 4,
             atom_count = functools.cache(
                 lambda w: len(g.reflections_below(w)))
             mismatches = sum(1 for fact, size in fibers.items()
-                             if size != atom_count(fact.factors[0]))
+                             if size != atom_count(fact[0]))
             add("fiber-mismatches", 0, mismatches)
 
     return report(spec.name, checks, row_records(rows), budget)

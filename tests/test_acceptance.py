@@ -7,6 +7,7 @@ group caching is shared with the rest of the suite, which only ever makes
 the timed work smaller.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -181,7 +182,7 @@ def test_criterion_07_fibers(criterion, group_of, nc_of):
             bad.append((name, "fiber count"))
         if sum(fibers.values()) != count_reduced(nc):
             bad.append((name, "fiber total"))
-        if any(size != r_lambda(g, fact.factors[0])
+        if any(size != r_lambda(g, fact[0])
                for fact, size in fibers.items()):
             bad.append((name, "fiber size vs r"))
     criterion(7, not bad, "concatenation fibers over (2,1,..,1) partition "
@@ -273,21 +274,26 @@ def test_note_e7_e8_closed_form(criterion):
               "enumeration under the default budget")
 
 
-def _verify_by_enumeration(capsys, name):
+def _verify_by_enumeration(capsys, name, digest):
     code = cli_main(["verify", name, "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert code == 0
     assert all(check["pass"] for check in payload["checks"])
+    # the whole report, byte for byte: every count, class id and row
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
     return sorted((int(row["r"]), int(row["u"])) for row in payload["rows"])
 
 
 def test_e7_verified_by_enumeration(capsys):
     # |W| = 2903040 but |NC| = 4160: NC, every DP check and the per-class
-    # table row, by enumeration, in about 0.4 s, with no --budget flag
-    assert _verify_by_enumeration(capsys, "E7") == [(2, 210), (3, 112)]
+    # table row, by enumeration, in about 0.2 s, with no --budget flag
+    digest = "ff8f70ad6e2f9a6203e465d233f5d3dcaa115b6438a48414848112c6d1a375c5"
+    assert _verify_by_enumeration(capsys, "E7", digest) == [(2, 210), (3, 112)]
 
 
 def test_e8_verified_by_enumeration(capsys):
-    # |NC| * |T| = 25080 * 120, under the default budget; about 2.6 s and
-    # 49 MB on a 2-vCPU Xeon VM
-    assert _verify_by_enumeration(capsys, "E8") == [(2, 504), (3, 224)]
+    # |NC| * |T| = 25080 * 120, under the default budget; about 1.5 s and
+    # 43 MB peak RSS as a lone process on a 2-vCPU Xeon VM
+    digest = "58a637533905d56b8597600cd11356e38e1aa08e3e8000bd17e453cf3fffcb65"
+    assert _verify_by_enumeration(capsys, "E8", digest) == [(2, 504), (3, 224)]

@@ -71,6 +71,57 @@ def test_verify_md_passes(capsys):
     assert "| nc-size-catalan | 14 | 14 | ok |" in out
 
 
+# every line of `verify --format md`: the heading, the check table, the
+# per-class row table and the PASS line, each block set off by one blank line
+VERIFY_B3_MD = """\
+# ncfact verify B3
+
+| check | expected | actual | ok |
+|---|---|---|---|
+| group-order | 48 | 48 | ok |
+| reflection-count | 9 | 9 | ok |
+| coxeter-order | 6 | 6 | ok |
+| nc-size-catalan | 20 | 20 | ok |
+| multichains-p2 | 84 | 84 | ok |
+| multichains-p3 | 220 | 220 | ok |
+| multichains-p4 | 455 | 455 | ok |
+| reduced-count | 27 | 27 | ok |
+| factorization-binomial-p0 | 1 | 1 | ok |
+| factorization-binomial-p1 | 20 | 20 | ok |
+| factorization-binomial-p2 | 84 | 84 | ok |
+| factorization-binomial-p3 | 220 | 220 | ok |
+| factorization-binomial-p4 | 455 | 455 | ok |
+| submax-total | 18 | 18 | ok |
+| submax-dp-agrees | 18 | 18 | ok |
+| degree-sum-r-u | 36 | 36 | ok |
+| degree-sum-u | 12 | 12 | ok |
+| r-ll-class0 | 4 | 4 | ok |
+| r-order-class0 | 4 | 4 | ok |
+| r-ll-class1 | 2 | 2 | ok |
+| r-order-class1 | 2 | 2 | ok |
+| r-ll-class2 | 3 | 3 | ok |
+| r-order-class2 | 3 | 3 | ok |
+| table-rows | [(2, 4, 6), (3, 4, 6), (4, 4, 6)] | [(2, 4, 6), (3, 4, 6), (4, 4, 6)] | ok |
+| hurwitz-transitive | 27 | 27 | ok |
+| fiber-sum-reduced | 27 | 27 | ok |
+| fiber-mismatches | 0 | 0 | ok |
+
+| class | label | d1' | h' | r | u | count |
+|---|---|---|---|---|---|---|
+| 789a96d9034e461d | B2 | 2 | 4 | 4 | 4 | 6 |
+| ce71b919eb6748ef | A1xA1 | 2 | 2 | 2 | 4 | 6 |
+| 8f8484b68c977c9c | A2 | 2 | 3 | 3 | 4 | 6 |
+
+PASS (27 checks)
+"""
+
+
+def test_verify_md_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "verify", "B3", "--format", "md")
+    assert code == 0
+    assert out == VERIFY_B3_MD
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "A4", "--format", "json")
     assert code == 0

@@ -109,10 +109,10 @@ def test_hurwitz_walk_invariants(group_of, nc_of, moves, start):
     for i, direction in moves:
         cur = hurwitz_move(g, cur, i, direction=direction)
         prod = g.identity
-        for w in cur.factors:
+        for w in cur:
             prod = g.multiply(prod, w)
         assert prod == g.coxeter
-        assert all(reflection_length(g, w) == 1 for w in cur.factors)
+        assert all(reflection_length(g, w) == 1 for w in cur)
     for i, direction in reversed(moves):
         cur = hurwitz_move(g, cur, i, direction=-direction)
     assert cur == fact

@@ -68,4 +68,4 @@ def test_python_api_block_matches_its_comments():
         assert comment == value or comment.startswith(value + ", "), (
             value, comment)
         checked += 1
-    assert checked == 5
+    assert checked == 6

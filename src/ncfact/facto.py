@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from ncfact import kernels
 from ncfact.errors import IndexOutOfRange, RankTooSmall, exact_quotient
@@ -170,13 +170,11 @@ def submaximal_by_class(nc: NcPoset) -> List[LLRow]:
     return rows
 
 
-def _braid(a: Perm, b: Perm, direction: int,
-           inverse: Callable[[Perm], Perm] = kernels.inverse
-           ) -> Tuple[Perm, Perm]:
+def _braid(a: Perm, b: Perm, direction: int) -> Tuple[Perm, Perm]:
     """(a, b) -> (aba^-1, a) for direction 1, (b, b^-1 ab) for -1."""
     if direction == 1:
-        return (kernels.compose(kernels.compose(a, b), inverse(a)), a)
-    return (b, kernels.compose(kernels.compose(inverse(b), a), b))
+        return (kernels.compose(kernels.compose(a, b), kernels.inverse(a)), a)
+    return (b, kernels.compose(kernels.compose(kernels.inverse(b), a), b))
 
 
 def hurwitz_move(g: Group, f: Tuple[Element, ...], i: int,
@@ -200,31 +198,17 @@ def hurwitz_orbit(g: Group, f: Tuple[Element, ...],
     The braid group acts on the finite orbit by permutations, so each
     inverse move is a power of the forward one, and the forward moves
     alone close the same set."""
-    # the orbit's states share few distinct factors: a state is a tuple of
-    # ids into factors, each factor is inverted once and each distinct
-    # braid (a, b) composed once
-    ids: Dict[Perm, int] = {}
-    factors: List[Perm] = []
-
-    def fid(p: Perm) -> int:
-        if p not in ids:
-            ids[p] = len(factors)
-            factors.append(p)
-        return ids[p]
-
-    inverse = functools.lru_cache(maxsize=None)(kernels.inverse)
-
-    @functools.lru_cache(maxsize=None)
-    def braid(a: int, b: int) -> Tuple[int, int]:
-        return tuple(map(fid, _braid(factors[a], factors[b], 1, inverse)))
-
+    # a state is a tuple of permutations; the states share few distinct
+    # factors, so each distinct braid (a, b) is composed once, and each
+    # distinct factor becomes one Element
+    braid = functools.cache(lambda a, b: _braid(a, b, 1))
     orbit = kernels.bfs(
-        [tuple(fid(x.perm) for x in f)],
+        [tuple(x.perm for x in f)],
         lambda state: [state[:i] + braid(state[i], state[i + 1])
                        + state[i + 2:] for i in range(len(state) - 1)],
         cap)
-    elements = [Element(g.name, p) for p in factors]
-    return [tuple(elements[k] for k in state) for state in orbit]
+    elements = {p: Element(g.name, p) for p in set().union(*orbit)}
+    return [tuple(map(elements.__getitem__, state)) for state in orbit]
 
 
 def enumerate_by_composition(nc: NcPoset, comp: Sequence[int]

@@ -223,8 +223,9 @@ def schreier_sims(gens: Sequence[Perm]
     order is the product of the orbit lengths, and x is a member iff it
     sifts to the identity through every level; gens must be non-empty.
     The chain grows one generator at a time, and a generator it already
-    contains adds nothing.  A wide monomial element acts on its colored
-    points: (j, k) -> (sigma(j), k + c_j).
+    contains adds nothing; every new strong generator enters through
+    `extend`, and `close` rechecks the levels it joined.  A wide monomial
+    element acts on its colored points: (j, k) -> (sigma(j), k + c_j).
     """
     ident = _one(gens[0])
     base: List[int] = []
@@ -236,27 +237,30 @@ def schreier_sims(gens: Sequence[Perm]
     # sift that passed once passes for good
     checked: List[set] = []
 
-    def add_level(g: Perm) -> None:
-        base.append(next(x for x, y in enumerate(unpack(g)) if x != y))
-        strong.append([])
-        trans.append({})
-        checked.append(set())
-
-    def grow(level: int) -> None:
-        """Close the transversal of a level under its strong generators;
-        the coset representatives found so far stay valid."""
-        tree = trans[level]
-        tree.setdefault(base[level], (ident, ident))
-        queue = list(tree)
-        images = [(s, unpack(s)) for s in strong[level]]
-        for x in queue:
-            u = tree[x][0]
-            for s, s_images in images:
-                y = s_images[x]
-                if y not in tree:
-                    v = compose(s, u)
-                    tree[y] = (v, inverse(v))
-                    queue.append(y)
+    def extend(h: Perm, lo: int, j: int) -> None:
+        """Make h, which fixes b_0 .. b_(j-1), a strong generator of levels
+        lo .. j (j = len(base) adds a level, based at the first point h
+        moves), and close each of their transversals under its strong
+        generators; the coset representatives found so far stay valid."""
+        if j == len(base):
+            base.append(next(x for x, y in enumerate(unpack(h)) if x != y))
+            strong.append([])
+            trans.append({})
+            checked.append(set())
+        for level in range(lo, j + 1):
+            strong[level].append(h)
+            tree = trans[level]
+            tree.setdefault(base[level], (ident, ident))
+            queue = list(tree)
+            images = [(s, unpack(s)) for s in strong[level]]
+            for x in queue:
+                u = tree[x][0]
+                for s, s_images in images:
+                    y = s_images[x]
+                    if y not in tree:
+                        v = compose(s, u)
+                        tree[y] = (v, inverse(v))
+                        queue.append(y)
 
     def sift(g: Perm, start: int) -> Tuple[Perm, int]:
         """Strip g through levels start..; the residue and the level it
@@ -293,25 +297,16 @@ def schreier_sims(gens: Sequence[Perm]
                 i -= 1
                 continue
             h, j = found
-            if j == len(base):
-                add_level(h)
-            for level in range(i + 1, j + 1):
-                strong[level].append(h)
-                grow(level)
+            extend(h, i + 1, j)
             i = j
 
     # extend the chain by each generator it does not already contain: the
     # residue h of its sift, failing at level j, fixes b_0 .. b_(j-1)
     for g in gens:
         h, j = sift(g, 0)
-        if j == len(base):
-            if h == ident:
-                continue
-            add_level(h)
-        for level in range(j + 1):
-            strong[level].append(h)
-            grow(level)
-        close(j)
+        if j < len(base) or h != ident:
+            extend(h, 0, j)
+            close(j)
     order = 1
     for tree in trans:
         order *= len(tree)

@@ -359,6 +359,19 @@ def _two_way_orbit(g, f):
     return seen
 
 
+def _forward_orbit(g, f):
+    """The closure of f under the forward braid moves, in BFS order: the
+    states in the order met, each one's moves tried at windows 1, 2, .."""
+    orbit, seen = [f], {f}
+    for x in orbit:
+        for i in range(1, len(x)):
+            y = hurwitz_move(g, x, i, 1)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
+
+
 @pytest.mark.parametrize("name,comp", [
     ("H3", (1, 1, 1)), ("H3", (2, 1)), ("F4", (1, 1, 1, 1)),
     ("F4", (1, 2, 1)), ("G(4,1,4)", (1, 1, 1, 1)), ("G(5,5,4)", (1, 1, 1, 1)),
@@ -373,6 +386,7 @@ def test_hurwitz_orbit_by_forward_moves_is_the_two_way_closure(
     orbit = hurwitz_orbit(g, start)
     assert len(set(orbit)) == len(orbit)
     assert set(orbit) == _two_way_orbit(g, start)
+    assert orbit == _forward_orbit(g, start)
 
 
 def test_hurwitz_singleton(group_of):
